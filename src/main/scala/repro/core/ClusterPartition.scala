@@ -23,7 +23,16 @@ object ClusterPartition {
   final case class Clustering(centers: Vector[Int], assignment: Array[Int]) {
     def nClusters: Int = centers.length
     def clusterOf(i: Int): Int = assignment(i)
-    def members(c: Int): Vector[Int] = assignment.indices.filter(assignment(_) == c).toVector
+
+    // One bucketing pass, so members(c) is O(1); members stay in index order.
+    private lazy val buckets: Array[Vector[Int]] = {
+      val bs = Array.fill(nClusters)(Vector.newBuilder[Int])
+      var i = 0
+      while (i < assignment.length) { bs(assignment(i)) += i; i += 1 }
+      bs.map(_.result())
+    }
+
+    def members(c: Int): Vector[Int] = buckets(c)
   }
 
   /** Partition `vectors` into clusters of radius ≤ epsilon. Deterministic
@@ -32,26 +41,35 @@ object ClusterPartition {
   def cluster(vectors: Vector[Array[Double]], epsilon: Double, seed: Long = 7): Clustering = {
     require(vectors.nonEmpty, "nothing to cluster")
     require(epsilon > 0, "epsilon must be positive")
-    val n = vectors.length
+    val vs = vectors.toArray
+    val n = vs.length
     val rnd = new Random(seed)
     var centers = Vector(rnd.nextInt(n))
     val assignment = Array.fill(n)(0)
-    val distToCenter = Array.tabulate(n)(i => distance(vectors(i), vectors(centers.head)))
+    val distToCenter = Array.tabulate(n)(i => distance(vs(i), vs(centers.head)))
 
-    var farthest = distToCenter.indices.maxBy(distToCenter)
+    var farthest = argmax(distToCenter)
     while (distToCenter(farthest) > epsilon) {
-      val c = farthest
-      centers = centers :+ c
+      val center = vs(farthest)
+      centers = centers :+ farthest
       val ci = centers.length - 1
       var i = 0
       while (i < n) {
-        val d = distance(vectors(i), vectors(c))
+        val d = distance(vs(i), center)
         if (d < distToCenter(i)) { distToCenter(i) = d; assignment(i) = ci }
         i += 1
       }
-      farthest = distToCenter.indices.maxBy(distToCenter)
+      farthest = argmax(distToCenter)
     }
     Clustering(centers, assignment)
+  }
+
+  /** Index of the first maximum under `Double.compare`, as `maxBy` picks. */
+  private def argmax(xs: Array[Double]): Int = {
+    var best = 0
+    var i = 1
+    while (i < xs.length) { if (java.lang.Double.compare(xs(i), xs(best)) > 0) best = i; i += 1 }
+    best
   }
 
   /** The "no clustering" degenerate partition (ablation variant Nc). */

@@ -72,18 +72,12 @@ object Metam {
       cfg: MetamConfig = MetamConfig(),
   ): SearchResult = {
     require(cands.nonEmpty, "no candidate augmentations")
+    val n = cands.length
     val vectors = cands.map(profiles.of)
     val clustering =
       if (cfg.useClustering) ClusterPartition.cluster(vectors, cfg.epsilon, cfg.seed)
-      else ClusterPartition.singletons(cands.length)
-    val clusterById: Map[Int, Int] =
-      cands.indices.map(i => cands(i).id -> clustering.clusterOf(i)).toMap
-    val clusterOf: Candidate => Int = c => clusterById(c.id)
-    val membersOf: Int => Vector[Candidate] = {
-      val cache = (0 until clustering.nClusters)
-        .map(cl => cl -> clustering.members(cl).map(cands(_))).toMap
-      cache
-    }
+      else ClusterPartition.singletons(n)
+    val clusterOf = clustering.assignment // candidate index → cluster id
 
     val qs = new QualityScores(profiles, cands, clustering)
     val bandit = new GroupSampler(clustering.nClusters, cfg.seed + 1, cfg.useThompson)
@@ -91,7 +85,9 @@ object Metam {
 
     var tStar = Vector.empty[Candidate]
     var tcStar = Vector.empty[Candidate]
-    val queriedSingles = mutable.Set.empty[Int] // candidate ids probed as T*+c
+    // Candidate-index state: in T*, and probed as T*+c since the last commit.
+    val inSolution = new Array[Boolean](n)
+    val queried = new Array[Boolean](n)
     var t = 1
     var groupsAtSize = 0
     var uD = 0.0
@@ -105,26 +101,23 @@ object Metam {
       while (uD < cfg.theta && uTc < cfg.theta && !exhausted) {
         // ----- sequential mechanism (blue): probe up to τ clusters, then
         // commit the best-gain augmentation.
-        val blocked = mutable.Set.empty[Int]
-        val probed = mutable.ArrayBuffer.empty[(Candidate, Double)]
-        val inSolution = tStar.map(_.id).toSet
+        val blocked = new Array[Boolean](clustering.nClusters)
+        val probed = mutable.ArrayBuffer.empty[(Int, Double)] // (candidate index, utility)
+        var maxU = Double.NegativeInfinity
         var continue = true
         while (continue) {
-          val avail = cands.filter { c =>
-            !inSolution.contains(c.id) && !probed.exists(_._1.id == c.id) &&
-              !queriedSingles.contains(c.id) && !blocked.contains(clusterOf(c))
-          }
-          if (avail.isEmpty) continue = false
+          val i = qs.bestAvailable(j => !inSolution(j) && !queried(j) && !blocked(clusterOf(j)))
+          if (i < 0) continue = false
           else {
-            val c = avail.maxBy(x => (qs.score(x), -x.id))
+            val c = cands(i)
             val u1 = util.query((tStar :+ c).toSet)
             val gain = u1 - uD
             qs.record(c, gain)
-            bandit.record(clusterOf(c), gain > cfg.minGain)
-            queriedSingles += c.id
-            blocked += clusterOf(c)
-            probed += ((c, u1))
-            val maxU = probed.map(_._2).max
+            bandit.record(clusterOf(i), gain > cfg.minGain)
+            queried(i) = true
+            blocked(clusterOf(i)) = true
+            probed += ((i, u1))
+            maxU = math.max(maxU, u1)
             continue = probed.size < tau || maxU <= uD + cfg.minGain
             if (probed.size >= 2 * tau) continue = false // bounded fallback round
           }
@@ -133,7 +126,7 @@ object Metam {
         // ----- group mechanism (red): Thompson-sampled size-t subset.
         if (cfg.groupQuerying && uD < cfg.theta) {
           val pools: Int => Vector[Candidate] = cl =>
-            membersOf(cl).filterNot(c => tStar.exists(_.id == c.id))
+            clustering.members(cl).filterNot(i => inSolution(i)).map(i => cands(i))
           val g = bandit.sampleGroup(t, pools)
           if (g.nonEmpty) {
             val ug = util.query(g.toSet)
@@ -149,16 +142,17 @@ object Metam {
           Console.err.println(
             f"[metam] round: probes=${probed.size} gains=$gains uD=$uD%.3f " +
             f"queries=${util.queries} tau=$tau |C|=${clustering.nClusters} " +
-            s"probedTables=${probed.take(6).map(_._1.table).mkString(",")}")
+            s"probedTables=${probed.take(6).map(p => cands(p._1).table).mkString(",")}")
         }
         if (probed.nonEmpty) {
-          val (cb, ub) = probed.maxBy { case (c, u) => (u, -c.id) }
+          val (ib, ub) = probed.maxBy { case (i, u) => (u, -cands(i).id) }
           if (ub > uD + cfg.minGain) {
-            tStar = tStar :+ cb
+            tStar = tStar :+ cands(ib)
+            inSolution(ib) = true
             uD = ub
             // New base dataset: allow re-probing candidates on top of it.
-            queriedSingles.clear()
-          } else if (cands.forall(c => tStar.exists(_.id == c.id) || queriedSingles.contains(c.id))) {
+            java.util.Arrays.fill(queried, false)
+          } else if ((0 until n).forall(i => inSolution(i) || queried(i))) {
             exhausted = true
           }
         } else exhausted = true

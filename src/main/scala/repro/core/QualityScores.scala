@@ -17,6 +17,12 @@ import repro.util.{LinAlg, Stats}
   *    if only a cluster-mate P' was queried — `(1 − d(P, P')) · gain(P')`
   *    (propagation uses property P2 and is disabled for clusters flagged
   *    inhomogeneous).
+  *
+  * Cost: the propagated utility score is cached per candidate and
+  * [[record]] recomputes it only for the recorded candidate's cluster, the
+  * only scores a record can change. The ridge refit changes every profile
+  * score, so [[bestAvailable]] ranks all n candidates afresh, in one
+  * O(n·l) pass over flat arrays per probe.
   */
 final class QualityScores(
     profiles: Profiles,
@@ -25,19 +31,25 @@ final class QualityScores(
     ridgeLambda: Double = 0.5,
     homogeneityTolerance: Double = 0.15,
 ) {
+  private val n = cands.length
   private val l = profiles.dim
   private val index: Map[Int, Int] = cands.map(_.id).zipWithIndex.toMap
-  // Cluster membership is immutable — cache it; members() is O(n) per call.
-  private val membersOf: Map[Int, Vector[Candidate]] =
-    (0 until clustering.nClusters).map(cl => cl -> clustering.members(cl).map(cands(_))).toMap
+  private val ids: Array[Int] = cands.map(_.id).toArray
+  private val vecs: Array[Array[Double]] = cands.map(profiles.of).toArray
 
   private var weights: Array[Double] = Array.fill(l)(1.0 / l)
-  private val observedGain = mutable.HashMap.empty[Int, Double] // candidate id → gain
-  private val inhomogeneous = mutable.Set.empty[Int]            // cluster ids
+  private var wsum: Double = absSum(weights)
+  private val gain = new Array[Double](n)        // observed gain, by candidate index
+  private val observed = new Array[Boolean](n)
+  private val observedIdx = mutable.ArrayBuffer.empty[Int]
+  // Observed members of each cluster, for propagation and the homogeneity test.
+  private val observedIn = Array.fill(clustering.nClusters)(mutable.ArrayBuffer.empty[Int])
+  private val inhomogeneous = new Array[Boolean](clustering.nClusters)
+  private val utility = new Array[Double](n)     // cached utility-based score
 
   def weightsSnapshot: Array[Double] = weights.clone()
-  def isInhomogeneous(cluster: Int): Boolean = inhomogeneous.contains(cluster)
-  def observations: Int = observedGain.size
+  def isInhomogeneous(cluster: Int): Boolean = inhomogeneous(cluster)
+  def observations: Int = observedIdx.size
 
   /** Record the observed utility gain of a queried candidate, refit the
     * profile-importance weights, and flag the candidate's cluster as
@@ -45,13 +57,16 @@ final class QualityScores(
     * (the paper's homogeneity test — propagation then stops, §IV-B
     * "What to do when profiles are not useful?").
     */
-  def record(c: Candidate, gain: Double): Unit = {
-    observedGain(c.id) = math.max(0.0, gain)
+  def record(c: Candidate, g: Double): Unit = {
+    val i = index(c.id)
+    val cl = clustering.clusterOf(i)
+    gain(i) = math.max(0.0, g)
+    if (!observed(i)) { observed(i) = true; observedIdx += i; observedIn(cl) += i }
     refitWeights()
-    val cl = clustering.clusterOf(index(c.id))
-    val memberGains = membersOf(cl).flatMap(m => observedGain.get(m.id))
+    val memberGains = observedIn(cl).map(m => gain(m))
     if (memberGains.size >= 2 && memberGains.max - memberGains.min > homogeneityTolerance)
-      inhomogeneous += cl
+      inhomogeneous(cl) = true
+    clustering.members(cl).foreach(j => utility(j) = propagated(j, cl))
   }
 
   /** Weighted-average profile score (the prior from dataset properties).
@@ -59,41 +74,66 @@ final class QualityScores(
     * (Lemma 4): a profile that anti-predicts gain (e.g. high correlation
     * concentrated on useless candidates) actively demotes its carriers.
     */
-  def profileScore(c: Candidate): Double = {
-    val p = profiles.of(c)
-    val wsum = weights.map(math.abs).sum
+  def profileScore(c: Candidate): Double = profileScore(profiles.of(c))
+
+  private def profileScore(p: Array[Double]): Double =
     if (wsum < 1e-12) Stats.mean(p)
     else LinAlg.dot(weights, p) / wsum
-  }
 
   /** Propagated utility score (0 when nothing relevant was observed). */
-  def utilityScore(c: Candidate): Double = observedGain.get(c.id).getOrElse {
-    val cl = clustering.clusterOf(index(c.id))
-    if (inhomogeneous.contains(cl)) 0.0
-    else {
-      val mates = membersOf(cl).filter(m => m.id != c.id && observedGain.contains(m.id))
-      if (mates.isEmpty) 0.0
-      else mates.map { m =>
-        val d = ClusterPartition.distance(profiles.of(c), profiles.of(m))
-        math.max(0.0, (1.0 - d) * observedGain(m.id))
-      }.max
-    }
-  }
+  def utilityScore(c: Candidate): Double = utility(index(c.id))
 
   /** Total quality score = profile-based + utility-based. */
-  def score(c: Candidate): Double = profileScore(c) + utilityScore(c)
+  def score(c: Candidate): Double = scoreAt(index(c.id))
+
+  private def scoreAt(i: Int): Double = profileScore(vecs(i)) + utility(i)
+
+  /** Index (into `cands`) of the highest-scoring candidate whose index
+    * passes `ok`, ties broken towards the smaller id — the candidate
+    * `maxBy(c => (score(c), -c.id))` picks — or -1 if none passes.
+    */
+  def bestAvailable(ok: Int => Boolean): Int = {
+    var best = -1
+    var bestScore = 0.0
+    var i = 0
+    while (i < n) {
+      if (ok(i)) {
+        val s = scoreAt(i)
+        val cmp = if (best < 0) 1 else java.lang.Double.compare(s, bestScore)
+        if (cmp > 0 || (cmp == 0 && ids(i) < ids(best))) { best = i; bestScore = s }
+      }
+      i += 1
+    }
+    best
+  }
+
+  /** Utility-based score of candidate index `j` in cluster `cl`: its own
+    * gain if observed, else the best `(1 − d) · gain` over observed mates.
+    */
+  private def propagated(j: Int, cl: Int): Double =
+    if (observed(j)) gain(j)
+    else if (inhomogeneous(cl)) 0.0
+    else {
+      var best = 0.0
+      observedIn(cl).foreach { m =>
+        val d = ClusterPartition.distance(vecs(j), vecs(m))
+        best = math.max(best, math.max(0.0, (1.0 - d) * gain(m)))
+      }
+      best
+    }
 
   /** Ridge refit of profile importances once enough observations exist
     * (the closed-form estimator of Lemma 4). Coefficients keep their sign;
     * normalisation by Σ|w| only fixes the scale.
     */
   private def refitWeights(): Unit = {
-    if (observedGain.size < l + 2) return
-    val rows = observedGain.toArray.sortBy(_._1)
-    val x = rows.map { case (id, _) => profiles.byId(id) }
-    val y = rows.map(_._2)
-    val coef = LinAlg.ridge(x, y, ridgeLambda)
-    val s = coef.map(math.abs).sum
+    if (observedIdx.size < l + 2) return
+    val rows = observedIdx.toArray.sortBy(i => ids(i))
+    val coef = LinAlg.ridge(rows.map(i => vecs(i)), rows.map(i => gain(i)), ridgeLambda)
+    val s = absSum(coef)
     weights = if (s < 1e-12) Array.fill(l)(1.0 / l) else coef.map(_ / s)
+    wsum = absSum(weights)
   }
+
+  private def absSum(xs: Array[Double]): Double = xs.map(math.abs).sum
 }

@@ -30,7 +30,6 @@ final class CountingUtility(
     monotone: Boolean = true,
 ) {
   private val raw = mutable.HashMap.empty[Set[Int], Double]
-  private val byId = mutable.HashMap.empty[Int, Candidate]
   private val curveBuf = mutable.ArrayBuffer.empty[(Int, Double)]
   private var bestSoFar = 0.0
 
@@ -45,7 +44,6 @@ final class CountingUtility(
   def baseUtility: Double = query(Set.empty[Candidate])
 
   def query(sel: Set[Candidate]): Double = {
-    sel.foreach(c => byId(c.id) = c)
     val key = sel.map(_.id)
     val fresh = !raw.contains(key)
     if (fresh && raw.size >= budget) throw new BudgetExhausted(budget)

@@ -100,4 +100,27 @@ class ClusterPartitionSpec extends AnyFunSuite with PropSupport {
     intercept[IllegalArgumentException](ClusterPartition.cluster(Vector.empty, 0.1))
     intercept[IllegalArgumentException](ClusterPartition.cluster(Vector(Array(0.1)), 0.0))
   }
+
+  test("members(c) equals the filter-based reference, in index order") {
+    checkProp(Prop.forAll(Gen.listOfN(40, vecGen), Gen.choose(0.05, 0.5)) { (vs, eps) =>
+      val c = ClusterPartition.cluster(vs.toVector, eps, seed = 6)
+      (0 until c.nClusters).forall { cl =>
+        c.members(cl) == c.assignment.indices.filter(c.assignment(_) == cl).toVector
+      }
+    })
+  }
+
+  test("with duplicate vectors, each new center is the first index at the largest distance") {
+    // A coarse grid makes many points tie for the farthest one.
+    val gridVec = Gen.listOfN(2, Gen.oneOf(0.0, 0.5, 1.0)).map(_.toArray)
+    checkProp(Prop.forAll(Gen.listOfN(30, gridVec), Gen.choose(0L, 1000L)) { (vs, seed) =>
+      val vectors = vs.toVector
+      val c = ClusterPartition.cluster(vectors, 0.1, seed)
+      c.centers.head == new scala.util.Random(seed).nextInt(vectors.length) &&
+        c.centers.indices.tail.forall { k =>
+          val toCenters = vectors.map(v => c.centers.take(k).map(j => ClusterPartition.distance(v, vectors(j))).min)
+          c.centers(k) == toCenters.indices.maxBy(toCenters)
+        }
+    })
+  }
 }

@@ -1,10 +1,14 @@
 package repro.core
 
+import scala.collection.mutable
+
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.PropSupport
 import repro.profile.Profiles
 
-class QualityScoresSpec extends AnyFunSuite {
+class QualityScoresSpec extends AnyFunSuite with PropSupport {
 
   private val names = Vector("corr", "mi", "embed", "meta", "overlap")
 
@@ -112,5 +116,58 @@ class QualityScoresSpec extends AnyFunSuite {
     qs.record(cands(0), 0.1)
     qs.record(cands(1), 0.2)
     assert(qs.observations == 2)
+  }
+
+  test("bestAvailable picks what the naive filter-and-maxBy reference picks") {
+    // Profiles on a coarse grid, so duplicate vectors tie on score; shuffled
+    // ids, so the id tie-break differs from index order; gains include
+    // negatives and repeats, and clusters can turn inhomogeneous.
+    val vecGen = Gen.listOfN(5, Gen.oneOf(0.0, 0.1, 0.5, 0.55, 0.9)).map(_.toArray)
+    val gen = for {
+      n <- Gen.choose(1, 25)
+      vectors <- Gen.listOfN(n, vecGen)
+      ids <- Gen.pick(n, 0 until 100)
+      order <- Gen.long
+      eps <- Gen.oneOf(0.05, 0.2, 0.6)
+      records <- Gen.listOf(Gen.zip(Gen.choose(0, n - 1), Gen.choose(-0.3, 0.8)))
+      masks <- Gen.listOfN(records.size + 1, Gen.listOfN(n, Gen.oneOf(true, true, false)))
+    } yield (vectors.toVector, new scala.util.Random(order).shuffle(ids.toVector), eps, records, masks)
+
+    checkProp(Prop.forAll(gen) { case (vectors, ids, eps, records, masks) =>
+      val cands = ids.map(id => Candidate(id, Vector(JoinEdge("key", s"t$id", "key")), "v"))
+      val profiles = Profiles(names, ids.zip(vectors).toMap)
+      val clustering = ClusterPartition.cluster(vectors, eps, seed = 2)
+      val qs = new QualityScores(profiles, cands, clustering)
+      val gains = mutable.Map.empty[Int, Double] // candidate index → clamped gain
+      val inhomogeneous = mutable.Set.empty[Int]
+
+      // The utility-based score recomputed from scratch.
+      def naiveUtility(j: Int): Double = gains.getOrElse(j, {
+        val cl = clustering.clusterOf(j)
+        val mates = clustering.members(cl).filter(gains.contains)
+        if (inhomogeneous(cl) || mates.isEmpty) 0.0
+        else mates.map(m => math.max(0.0, (1.0 - ClusterPartition.distance(vectors(j), vectors(m))) * gains(m))).max
+      })
+
+      def agrees(mask: List[Boolean]): Boolean = {
+        val ok = mask.toArray
+        val avail = cands.filter(c => ok(cands.indexOf(c)))
+        val expected = if (avail.isEmpty) -1 else cands.indexOf(avail.maxBy(c => (qs.score(c), -c.id)))
+        qs.bestAvailable(i => ok(i)) == expected &&
+          cands.indices.forall { i =>
+            qs.utilityScore(cands(i)) == naiveUtility(i) &&
+              qs.score(cands(i)) == qs.profileScore(cands(i)) + qs.utilityScore(cands(i))
+          }
+      }
+
+      agrees(masks.head) && records.zip(masks.tail).forall { case ((i, g), mask) =>
+        qs.record(cands(i), g)
+        gains(i) = math.max(0.0, g)
+        val cl = clustering.clusterOf(i)
+        val observed = clustering.members(cl).flatMap(gains.get)
+        if (observed.size >= 2 && observed.max - observed.min > 0.15) inhomogeneous += cl
+        agrees(mask)
+      }
+    }, tries = 200)
   }
 }
