@@ -75,18 +75,21 @@ final class AugmentEngine(spark: SparkSession, val input: LakeTable, val lake: L
     out
   })
 
+  /** Whether `c` is served by the lake's tall cell view, which pairs value
+    * columns with each table's first key column: true for 1-hop candidates
+    * joining through that key. Batched prefetch and batched profiling cover
+    * exactly these candidates.
+    */
+  def batchable(c: Candidate): Boolean =
+    c.hops == 1 && lake.table(c.edges.head.rightTable).meta.keyCols.headOption.contains(c.edges.head.rightKeyCol)
+
   /** Batch-materialise every 1-hop candidate in one Spark job: the tall
     * (table, valueCol, key, value) cell view is joined against `D_in`'s
     * join-key column and reduced by `min(value)` per (candidate, row).
     * Multi-hop candidates fall back to `column`'s per-candidate chain.
     */
   def prefetch(cands: Seq[Candidate]): Unit = {
-    // The tall cell view pairs value columns with each table's first key
-    // column, so only candidates joining through that key can be batched.
-    val (oneHop, rest) = cands.filter(c => !memo.contains(c.id)).partition { c =>
-      c.hops == 1 &&
-        lake.table(c.edges.head.rightTable).meta.keyCols.headOption.contains(c.edges.head.rightKeyCol)
-    }
+    val (oneHop, rest) = cands.filter(c => !memo.contains(c.id)).partition(batchable)
     if (oneHop.nonEmpty) {
       val byEdge = oneHop.groupBy(_.edges.head.leftCol)
       byEdge.foreach { case (leftCol, cs) =>

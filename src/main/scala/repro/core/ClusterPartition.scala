@@ -44,14 +44,14 @@ object ClusterPartition {
     val vs = vectors.toArray
     val n = vs.length
     val rnd = new Random(seed)
-    var centers = Vector(rnd.nextInt(n))
+    val centers = scala.collection.mutable.ArrayBuffer(rnd.nextInt(n))
     val assignment = Array.fill(n)(0)
     val distToCenter = Array.tabulate(n)(i => distance(vs(i), vs(centers.head)))
 
     var farthest = argmax(distToCenter)
     while (distToCenter(farthest) > epsilon) {
       val center = vs(farthest)
-      centers = centers :+ farthest
+      centers += farthest
       val ci = centers.length - 1
       var i = 0
       while (i < n) {
@@ -61,7 +61,7 @@ object ClusterPartition {
       }
       farthest = argmax(distToCenter)
     }
-    Clustering(centers, assignment)
+    Clustering(centers.toVector, assignment)
   }
 
   /** Index of the first maximum under `Double.compare`, as `maxBy` picks. */

@@ -34,36 +34,37 @@ final case class SearchResult(
   * @param epsilon   ε-cover radius for CLUSTER-PARTITION (paper default
   *                  0.05; coarser covers merge candidates of different
   *                  utility into one cluster and starve the per-round
-  *                  cluster probe — τ is bounded by `tauCap` instead)
+  *                  cluster probe)
   * @param tau       probes per sequential round; ≤0 means the paper's
-  *                  default τ = |C| (one probe per cluster), capped at
-  *                  `tauCap` so a commit never costs more than tauCap
-  *                  queries
+  *                  default τ = |C| (one probe per cluster), capped at 25
+  *                  so a commit never costs more than 25 queries
+  * @param seed      seeds the ε-cover's first center and the group
+  *                  sampler
   * @param useClustering  ablation switch: false = every candidate is its
   *                  own cluster (variant Nc)
   * @param useThompson    ablation switch: false = clusters ranked with
   *                  equal importance in group sampling (variant Eq)
-  * @param groupQuerying  enable the combinatorial (red) mechanism
-  * @param minimality     run IDENTIFY-MINIMAL post-processing
+  * @param groupRoundsPerSize  group queries at each subset size t before
+  *                  t grows by one
   */
 final case class MetamConfig(
     theta: Double = 0.95,
     epsilon: Double = 0.05,
     tau: Int = -1,
-    tauCap: Int = 25,
     seed: Long = 41,
     useClustering: Boolean = true,
     useThompson: Boolean = true,
-    groupQuerying: Boolean = true,
-    minimality: Boolean = true,
     groupRoundsPerSize: Int = 8,
-    minGain: Double = 1e-9,
-    maxSweepSize: Int = 8,
-    verbose: Boolean = false,
 )
 
 /** Algorithm 1: METAM's adaptive interventional querying strategy. */
 object Metam {
+
+  private val TauCap = 25
+  /** A probe counts as a gain only above this margin over the current utility. */
+  private val MinGain = 1e-9
+  /** Largest subset size the combinatorial sweep enumerates. */
+  private val MaxSweepSize = 8
 
   def run(
       cands: Vector[Candidate],
@@ -73,15 +74,14 @@ object Metam {
   ): SearchResult = {
     require(cands.nonEmpty, "no candidate augmentations")
     val n = cands.length
-    val vectors = cands.map(profiles.of)
     val clustering =
-      if (cfg.useClustering) ClusterPartition.cluster(vectors, cfg.epsilon, cfg.seed)
+      if (cfg.useClustering) ClusterPartition.cluster(cands.map(profiles.of), cfg.epsilon, cfg.seed)
       else ClusterPartition.singletons(n)
     val clusterOf = clustering.assignment // candidate index → cluster id
 
     val qs = new QualityScores(profiles, cands, clustering)
     val bandit = new GroupSampler(clustering.nClusters, cfg.seed + 1, cfg.useThompson)
-    val tau = if (cfg.tau > 0) cfg.tau else math.min(clustering.nClusters, cfg.tauCap)
+    val tau = if (cfg.tau > 0) cfg.tau else math.min(clustering.nClusters, TauCap)
 
     var tStar = Vector.empty[Candidate]
     var tcStar = Vector.empty[Candidate]
@@ -113,40 +113,31 @@ object Metam {
             val u1 = util.query((tStar :+ c).toSet)
             val gain = u1 - uD
             qs.record(c, gain)
-            bandit.record(clusterOf(i), gain > cfg.minGain)
+            bandit.record(clusterOf(i), gain > MinGain)
             queried(i) = true
             blocked(clusterOf(i)) = true
             probed += ((i, u1))
             maxU = math.max(maxU, u1)
-            continue = probed.size < tau || maxU <= uD + cfg.minGain
+            continue = probed.size < tau || maxU <= uD + MinGain
             if (probed.size >= 2 * tau) continue = false // bounded fallback round
           }
         }
 
         // ----- group mechanism (red): Thompson-sampled size-t subset.
-        if (cfg.groupQuerying && uD < cfg.theta) {
-          val pools: Int => Vector[Candidate] = cl =>
-            clustering.members(cl).filterNot(i => inSolution(i)).map(i => cands(i))
-          val g = bandit.sampleGroup(t, pools)
-          if (g.nonEmpty) {
-            val ug = util.query(g.toSet)
-            if (ug > uTc) { tcStar = g; uTc = ug }
-            groupsAtSize += 1
-            if (groupsAtSize >= cfg.groupRoundsPerSize) { t += 1; groupsAtSize = 0 }
-          }
+        val pools: Int => Vector[Candidate] = cl =>
+          clustering.members(cl).filterNot(i => inSolution(i)).map(i => cands(i))
+        val g = bandit.sampleGroup(t, pools)
+        if (g.nonEmpty) {
+          val ug = util.query(g.toSet)
+          if (ug > uTc) { tcStar = g; uTc = ug }
+          groupsAtSize += 1
+          if (groupsAtSize >= cfg.groupRoundsPerSize) { t += 1; groupsAtSize = 0 }
         }
 
         // ----- commit P'_max if it improves utility.
-        if (cfg.verbose) {
-          val gains = probed.count(_._2 > uD + cfg.minGain)
-          Console.err.println(
-            f"[metam] round: probes=${probed.size} gains=$gains uD=$uD%.3f " +
-            f"queries=${util.queries} tau=$tau |C|=${clustering.nClusters} " +
-            s"probedTables=${probed.take(6).map(p => cands(p._1).table).mkString(",")}")
-        }
         if (probed.nonEmpty) {
           val (ib, ub) = probed.maxBy { case (i, u) => (u, -cands(i).id) }
-          if (ub > uD + cfg.minGain) {
+          if (ub > uD + MinGain) {
             tStar = tStar :+ cands(ib)
             inSolution(ib) = true
             uD = ub
@@ -162,10 +153,10 @@ object Metam {
       // by quality score, so promising combinations come first) until θ,
       // the budget, or the size cap. This is what guarantees the optimal
       // solution is found given enough queries.
-      if (exhausted && uD < cfg.theta && uTc < cfg.theta && cfg.groupQuerying) {
+      if (exhausted && uD < cfg.theta && uTc < cfg.theta) {
         val ordered = cands.sortBy(c => (-qs.score(c), c.id))
         var size = 2
-        while (size <= math.min(cands.length, cfg.maxSweepSize) && uTc < cfg.theta) {
+        while (size <= math.min(cands.length, MaxSweepSize) && uTc < cfg.theta) {
           val it = ordered.combinations(size)
           while (it.hasNext && uTc < cfg.theta) {
             val g = it.next().toVector
@@ -182,7 +173,7 @@ object Metam {
     val uC = if (tcStar.nonEmpty) safeQuery(util, tcStar.toSet).getOrElse(0.0) else 0.0
     var best = if (uC > uT) tcStar else tStar
     var bestU = math.max(uT, uC)
-    if (cfg.minimality && best.nonEmpty) {
+    if (best.nonEmpty) {
       val (minSet, minU) = Minimality.minimise(best, bestU, math.min(cfg.theta, bestU), util)
       best = minSet; bestU = minU
     }

@@ -28,9 +28,9 @@ final class QualityScores(
     profiles: Profiles,
     cands: Vector[Candidate],
     clustering: ClusterPartition.Clustering,
-    ridgeLambda: Double = 0.5,
-    homogeneityTolerance: Double = 0.15,
 ) {
+  import QualityScores._
+
   private val n = cands.length
   private val l = profiles.dim
   private val index: Map[Int, Int] = cands.map(_.id).zipWithIndex.toMap
@@ -41,7 +41,7 @@ final class QualityScores(
   private var wsum: Double = absSum(weights)
   private val gain = new Array[Double](n)        // observed gain, by candidate index
   private val observed = new Array[Boolean](n)
-  private val observedIdx = mutable.ArrayBuffer.empty[Int]
+  private val observedIdx = mutable.ArrayBuffer.empty[Int] // in ascending id order, the ridge fit's row order
   // Observed members of each cluster, for propagation and the homogeneity test.
   private val observedIn = Array.fill(clustering.nClusters)(mutable.ArrayBuffer.empty[Int])
   private val inhomogeneous = new Array[Boolean](clustering.nClusters)
@@ -61,10 +61,13 @@ final class QualityScores(
     val i = index(c.id)
     val cl = clustering.clusterOf(i)
     gain(i) = math.max(0.0, g)
-    if (!observed(i)) { observed(i) = true; observedIdx += i; observedIn(cl) += i }
+    if (!observed(i)) {
+      observed(i) = true; observedIn(cl) += i
+      observedIdx.insert(observedIdx.lastIndexWhere(m => ids(m) <= ids(i)) + 1, i)
+    }
     refitWeights()
     val memberGains = observedIn(cl).map(m => gain(m))
-    if (memberGains.size >= 2 && memberGains.max - memberGains.min > homogeneityTolerance)
+    if (memberGains.size >= 2 && memberGains.max - memberGains.min > HomogeneityTolerance)
       inhomogeneous(cl) = true
     clustering.members(cl).foreach(j => utility(j) = propagated(j, cl))
   }
@@ -128,12 +131,18 @@ final class QualityScores(
     */
   private def refitWeights(): Unit = {
     if (observedIdx.size < l + 2) return
-    val rows = observedIdx.toArray.sortBy(i => ids(i))
-    val coef = LinAlg.ridge(rows.map(i => vecs(i)), rows.map(i => gain(i)), ridgeLambda)
+    val coef = LinAlg.ridge(observedIdx.map(i => vecs(i)).toArray, observedIdx.map(i => gain(i)).toArray, RidgeLambda)
     val s = absSum(coef)
     weights = if (s < 1e-12) Array.fill(l)(1.0 / l) else coef.map(_ / s)
     wsum = absSum(weights)
   }
 
   private def absSum(xs: Array[Double]): Double = xs.map(math.abs).sum
+}
+
+object QualityScores {
+  /** Ridge penalty of the Lemma 4 profile-importance fit. */
+  private val RidgeLambda = 0.5
+  /** Largest spread of observed member gains a cluster may show and still propagate. */
+  private val HomogeneityTolerance = 0.15
 }

@@ -33,6 +33,10 @@ object Profiler {
 
   val ProfileNames: Vector[String] = Vector("corr", "mi", "embed", "meta", "overlap")
 
+  private val SampleSize = 100
+  private val SampleSeed = 17L
+  private val Bins = 8 // equi-rank MI bins per axis
+
   /** Deterministic sample of `n` row indices of the input (pseudo-shuffle
     * by murmur hash, as the paper profiles "a random sample of 100
     * records").
@@ -42,36 +46,31 @@ object Profiler {
 
   /** Compute the profile vector of every candidate.
     *
-    * All 1-hop candidates joining through their table's primary key are
-    * profiled in a constant number of Spark jobs over the lake's tall cell
-    * view (join with the input sample → dedup → `corr`/count aggregation,
-    * plus an equi-rank binned histogram for MI). Remaining candidates
-    * (multi-hop paths) are materialised through the engine and profiled
-    * with the identical driver-side estimators.
+    * Candidates the engine can batch ([[AugmentEngine.batchable]]: 1-hop,
+    * joining through their table's first key column) are profiled in a
+    * constant number of Spark jobs over the lake's tall cell view (join
+    * with the input sample → dedup → `corr`/count aggregation, plus an
+    * equi-rank binned histogram for MI). Remaining candidates are
+    * materialised through the engine and profiled in memory with the
+    * same estimators.
     */
   def profileAll(
       spark: SparkSession,
       engine: AugmentEngine,
       cands: Seq[Candidate],
       targetCol: String,
-      sampleSize: Int = 100,
-      bins: Int = 8,
-      seed: Long = 17,
   ): Profiles = {
     val input = engine.input
-    val idx = sampleIndices(input.nRows, sampleSize, seed)
+    val idx = sampleIndices(input.nRows, SampleSize, SampleSeed)
     val target = input.numeric(targetCol)
 
-    val (batchable, _) = cands.partition { c =>
-      c.hops == 1 &&
-        engine.lake.table(c.edges.head.rightTable).meta.keyCols.headOption.contains(c.edges.head.rightKeyCol)
-    }
+    val batchable = cands.filter(engine.batchable)
     val batchableIds = batchable.map(_.id).toSet
 
     val fromBatch: Map[(String, String, String), (Double, Double, Double)] =
       if (batchable.isEmpty) Map.empty
       else batchable.groupBy(_.edges.head.leftCol).flatMap { case (leftCol, cs) =>
-        batchProfiles(spark, engine, cs, leftCol, targetCol, idx, bins)
+        batchProfiles(spark, engine, cs, leftCol, targetCol, idx)
           .map { case ((t, vc), v) => (leftCol, t, vc) -> v }
       }
 
@@ -87,7 +86,7 @@ object Profiler {
           val matched = idx.count(i => colVals(i).isDefined)
           (
             math.abs(Stats.pearson(xs, ys)),
-            Stats.normalizedMutualInformation(xs, ys, bins),
+            Stats.normalizedMutualInformation(xs, ys, Bins),
             matched.toDouble / idx.length,
           )
         }
@@ -129,7 +128,6 @@ object Profiler {
       leftCol: String,
       targetCol: String,
       idx: Array[Int],
-      bins: Int,
   ): Map[(String, String), (Double, Double, Double)] = {
     val input = engine.input
     val keys = input.column(leftCol)
@@ -179,8 +177,8 @@ object Profiler {
     val wv = Window.partitionBy("table", "valueCol").orderBy("v")
     val wt = Window.partitionBy("table", "valueCol").orderBy("target")
     val histRows = numeric
-      .withColumn("bx", least(lit(bins - 1), floor(percent_rank().over(wv) * bins)).cast("int"))
-      .withColumn("by", least(lit(bins - 1), floor(percent_rank().over(wt) * bins)).cast("int"))
+      .withColumn("bx", least(lit(Bins - 1), floor(percent_rank().over(wv) * Bins)).cast("int"))
+      .withColumn("by", least(lit(Bins - 1), floor(percent_rank().over(wt) * Bins)).cast("int"))
       .groupBy("table", "valueCol", "bx", "by")
       .agg(count(lit(1)).as("c"))
       .collect()
@@ -210,7 +208,7 @@ object Profiler {
         }
       val miV =
         if (n < 4) 0.0
-        else hists.get(k).map(h => Stats.miFromJointCounts(h, bins) / math.log(bins.toDouble)).getOrElse(0.0)
+        else hists.get(k).map(h => Stats.miFromJointCounts(h, Bins) / math.log(Bins.toDouble)).getOrElse(0.0)
       k -> ((corrV, miV, matchedKeys.toDouble / idx.length))
     }.toMap
   }

@@ -2,7 +2,7 @@ package repro.tasks
 
 import scala.util.Random
 
-import repro.util.{LinAlg, Stats}
+import repro.util.Stats
 
 /** Deterministic in-memory learners backing the predictive tasks.
   *
@@ -114,32 +114,5 @@ object Learners {
         val (l, r) = rows.partition(i => x(i)(f) <= thr)
         Split(f, thr, grow(x, y, l, feats, cfg, depth + 1, rnd), grow(x, y, r, feats, cfg, depth + 1, rnd))
     }
-  }
-
-  // ----------------------------------------------------------------- ridge
-
-  /** Ridge regression with intercept (features standardised internally). */
-  final case class RidgeModel(weights: Array[Double], intercept: Double, means: Array[Double], stds: Array[Double]) {
-    def predictRow(x: Array[Double]): Double = {
-      var s = intercept
-      var j = 0
-      while (j < weights.length) {
-        val std = if (stds(j) < 1e-12) 1.0 else stds(j)
-        s += weights(j) * ((x(j) - means(j)) / std)
-        j += 1
-      }
-      s
-    }
-  }
-
-  def trainRidge(x: Array[Array[Double]], y: Array[Double], lambda: Double = 1.0): RidgeModel = {
-    require(x.nonEmpty, "empty training data")
-    val p = x.head.length
-    val means = Array.tabulate(p)(j => Stats.mean(x.map(_(j))))
-    val stds = Array.tabulate(p)(j => Stats.std(x.map(_(j))))
-    val xs = x.map(row => Array.tabulate(p)(j => (row(j) - means(j)) / (if (stds(j) < 1e-12) 1.0 else stds(j))))
-    val my = Stats.mean(y)
-    val w = if (p == 0) Array.empty[Double] else LinAlg.ridge(xs, y.map(_ - my), lambda)
-    RidgeModel(w, my, means, stds)
   }
 }

@@ -18,31 +18,3 @@ trait Task {
   /** Distributed adapter: evaluate the task over a Spark DataFrame. */
   final def utilityOf(df: DataFrame): Double = utility(LocalTable.fromDf(df))
 }
-
-object Task {
-
-  /** Monotonicity-certification wrapper (property P3, Figure 2): evaluate
-    * the task on the given table but also on versions with each suffix of
-    * recently-added columns dropped, returning the max — i.e. an
-    * augmentation that worsens utility is ignored. `protectedCols` are the
-    * original columns of `D_in` that are never dropped.
-    */
-  def monotonic(inner: Task, protectedCols: Set[String]): Task = new Task {
-    def name: String = s"monotonic(${inner.name})"
-
-    def utility(table: LocalTable): Double = {
-      val added = table.columns.filter { case (n, _) => !protectedCols.contains(n) }
-      val base = LocalTable(table.columns.filter { case (n, _) => protectedCols.contains(n) })
-      // Evaluate dropping each single added column plus the full table;
-      // the wrapper "ignores the augmentation that worsens utility".
-      val full = inner.utility(table)
-      if (added.isEmpty) full
-      else {
-        val leaveOneOut = added.indices.map { i =>
-          inner.utility(LocalTable(base.columns ++ added.patch(i, Nil, 1)))
-        }
-        (full +: leaveOneOut).max
-      }
-    }
-  }
-}

@@ -3,8 +3,9 @@ package repro.util
 /** Driver-side statistics shared by profiles, tasks, and quality scoring.
   *
   * All estimators here are deterministic pure functions; the Spark-side
-  * equivalents (e.g. `corr` over a candidate join) are verified against
-  * these in the test suites so the two code paths cannot drift.
+  * equivalents (the batched profiler's corr sums and equi-rank MI
+  * histogram) are verified against these in the test suites so the two
+  * code paths cannot drift.
   */
 object Stats {
 
@@ -23,9 +24,15 @@ object Stats {
     * Returns 0.0 when either side is (near-)constant or <3 pairs exist.
     */
   def pearson(xs: Array[Option[Double]], ys: Array[Option[Double]]): Double = {
+    val (x, y) = completePairs(xs, ys)
+    pearsonComplete(x, y)
+  }
+
+  /** The entries of `xs` / `ys` where both are defined, in index order. */
+  private def completePairs(xs: Array[Option[Double]], ys: Array[Option[Double]]): (Array[Double], Array[Double]) = {
     require(xs.length == ys.length, s"length mismatch ${xs.length} vs ${ys.length}")
     val pairs = xs.indices.collect { case i if xs(i).isDefined && ys(i).isDefined => (xs(i).get, ys(i).get) }
-    pearsonComplete(pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+    (pairs.map(_._1).toArray, pairs.map(_._2).toArray)
   }
 
   /** Pearson correlation over fully-observed vectors. */
@@ -67,34 +74,10 @@ object Stats {
     if (x >= 0) y else -y
   }
 
-  /** Mutual information (nats) of the equi-width binned joint histogram of
-    * the pairwise-complete entries; `bins` per axis. Nonnegative.
-    */
-  def binnedMutualInformation(xs: Array[Option[Double]], ys: Array[Option[Double]], bins: Int = 8): Double = {
-    require(bins >= 2, "need at least 2 bins")
-    val pairs = xs.indices.collect { case i if xs(i).isDefined && ys(i).isDefined => (xs(i).get, ys(i).get) }
-    if (pairs.length < 4) return 0.0
-    val x = pairs.map(_._1).toArray; val y = pairs.map(_._2).toArray
-    def binOf(v: Double, lo: Double, hi: Double): Int =
-      if (hi - lo < 1e-12) 0
-      else math.min(bins - 1, ((v - lo) / (hi - lo) * bins).toInt)
-    val (xlo, xhi) = (x.min, x.max); val (ylo, yhi) = (y.min, y.max)
-    val joint = Array.ofDim[Int](bins, bins)
-    pairs.foreach { case (a, b) => joint(binOf(a, xlo, xhi))(binOf(b, ylo, yhi)) += 1 }
-    val n  = pairs.length.toDouble
-    val px = joint.map(_.sum / n)
-    val py = (0 until bins).map(j => joint.map(_(j)).sum / n).toArray
-    var mi = 0.0
-    for (i <- 0 until bins; j <- 0 until bins) {
-      val pij = joint(i)(j) / n
-      if (pij > 0 && px(i) > 0 && py(j) > 0) mi += pij * math.log(pij / (px(i) * py(j)))
-    }
-    math.max(0.0, mi)
-  }
-
-  /** MI (nats) from a sparse joint histogram of (binX, binY, count) —
-    * shared by the Spark batched profiler (equi-rank bins computed
-    * distributedly) and its driver-side twin used in tests.
+  /** MI (nats) from a sparse joint histogram of (binX, binY, count).
+    * With [[rankBins]] it backs the one MI profile: the batched Spark
+    * profiler bins distributedly, [[normalizedMutualInformation]] in
+    * memory.
     */
   def miFromJointCounts(cells: Seq[(Int, Int, Long)], bins: Int): Double = {
     val n = cells.map(_._3).sum.toDouble
@@ -132,9 +115,19 @@ object Stats {
     ranks
   }
 
-  /** Normalised MI in [0,1]: MI / log(bins) (log(bins) bounds the binned MI). */
-  def normalizedMutualInformation(xs: Array[Option[Double]], ys: Array[Option[Double]], bins: Int = 8): Double =
-    math.min(1.0, binnedMutualInformation(xs, ys, bins) / math.log(bins.toDouble))
+  /** Normalised MI in [0,1] of the pairwise-complete entries: each side
+    * equi-rank binned ([[rankBins]]), then MI / ln(bins) (ln(bins) bounds
+    * the binned MI). 0.0 when <4 pairs exist.
+    */
+  def normalizedMutualInformation(xs: Array[Option[Double]], ys: Array[Option[Double]], bins: Int = 8): Double = {
+    require(bins >= 2, "need at least 2 bins")
+    val (x, y) = completePairs(xs, ys)
+    if (x.length < 4) return 0.0
+    val bx = rankBins(x, bins)
+    val by = rankBins(y, bins)
+    val cells = bx.indices.groupBy(i => (bx(i), by(i))).map { case ((i, j), rows) => (i, j, rows.length.toLong) }
+    math.min(1.0, miFromJointCounts(cells.toSeq, bins) / math.log(bins.toDouble))
+  }
 
   /** Binary F1 for the positive label `1.0`; 0.0 when precision+recall = 0. */
   def f1(predicted: Array[Double], actual: Array[Double]): Double = {

@@ -34,7 +34,7 @@ class ProfilerSpec extends SparkSpec {
     val cands = tables.zipWithIndex.map { case (t, i) =>
       Candidate(i, Vector(JoinEdge("key", t.meta.name, "key")), t.columnNames.filterNot(_ == "key").head)
     }.toVector
-    (cands, Profiler.profileAll(spark, engine, cands, "target", sampleSize = 100))
+    (cands, Profiler.profileAll(spark, engine, cands, "target"))
   }
 
   test("profile vector has the documented dimension and range") {
@@ -115,8 +115,11 @@ class ProfilerSpec extends SparkSpec {
     val engine2 = new AugmentEngine(spark, input, lake2)
     val fb = Profiler.profileAll(spark, engine2, Vector(c1), "target")
     val ci = batched.profileIndex("corr")
+    val mi = batched.profileIndex("mi")
     val oi = batched.profileIndex("overlap")
     assert(math.abs(batched.of(c1)(ci) - fb.of(c1)(ci)) < 1e-6)
+    assert(batched.of(c1)(mi) > 0.0)
+    assert(math.abs(batched.of(c1)(mi) - fb.of(c1)(mi)) < 1e-12)
     assert(math.abs(batched.of(c1)(oi) - fb.of(c1)(oi)) < 1e-6)
   }
 

@@ -75,19 +75,4 @@ class LearnersSpec extends AnyFunSuite {
     val f = Learners.trainForest(x, y)
     assert(x.map(f.predictRow).forall(_ == 1.0))
   }
-
-  test("ridge recovers a linear trend") {
-    val x = Array.tabulate(100)(i => Array(i.toDouble))
-    val y = x.map(r => 3.0 * r(0) + 1.0)
-    val m = Learners.trainRidge(x, y, lambda = 1e-6)
-    val pred = x.map(m.predictRow)
-    assert(Stats.mae(pred, y) / 300.0 < 0.01)
-  }
-
-  test("ridge with constant feature predicts the mean") {
-    val x = Array.fill(20)(Array(5.0))
-    val y = Array.tabulate(20)(_.toDouble)
-    val m = Learners.trainRidge(x, y)
-    assert(math.abs(m.predictRow(Array(5.0)) - 9.5) < 1e-6)
-  }
 }

@@ -198,30 +198,6 @@ class TasksSpec extends AnyFunSuite {
     assert(u1 >= u0 - 1e-12)
   }
 
-  test("monotonic wrapper ignores a harmful augmentation") {
-    // Inner task: utility 0.8 on exactly the protected columns, 0.2 if
-    // any extra column is present.
-    val inner = new Task {
-      def name = "anti"
-      def utility(t: LocalTable): Double = if (t.columnNames.toSet == Set("a")) 0.8 else 0.2
-    }
-    val mono = Task.monotonic(inner, Set("a"))
-    val t = LocalTable(Vector("a" -> Array(Some("1"))))
-    assert(mono.utility(t) == 0.8)
-    assert(mono.utility(t.add("b", Array(Some("2")))) == 0.8)
-    assert(inner.utility(t.add("b", Array(Some("2")))) == 0.2)
-  }
-
-  test("monotonic wrapper keeps a helpful augmentation") {
-    val inner = new Task {
-      def name = "pro"
-      def utility(t: LocalTable): Double = 0.2 + 0.3 * t.columnNames.count(_ != "a")
-    }
-    val mono = Task.monotonic(inner, Set("a"))
-    val t = LocalTable(Vector("a" -> Array(Some("1")))).add("b", Array(Some("2")))
-    assert(math.abs(mono.utility(t) - 0.5) < 1e-12)
-  }
-
   test("utilityOf adapts a Spark DataFrame (LocalTable.fromDf path)") {
     // Covered indirectly elsewhere; here just check the trait wiring with
     // a constant task to stay Spark-free.
