@@ -7,11 +7,12 @@ import repro.discovery.JoinDiscovery
 import repro.lake.Scenario
 import repro.profile.{Profiler, Profiles}
 
-/** End-to-end orchestration of one scenario: discovery → profiling →
-  * prefetch → run METAM and the baselines under a shared query budget.
-  * The augment engine (and its memoised Γ materialisations) is shared
-  * across methods — a query's *count* is per-method, its join is paid
-  * once, exactly as one server-side cache would serve all competitors.
+/** End-to-end orchestration of one scenario: discovery and profiling (in
+  * Spark) → Γ prefetch (driver-side joins) → run METAM and the baselines
+  * under a shared query budget. The augment engine (and its memoised Γ
+  * materialisations) is shared across methods — a query's *count* is
+  * per-method, its join is paid once, exactly as one server-side cache
+  * would serve all competitors.
   */
 object Runner {
 

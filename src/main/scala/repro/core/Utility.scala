@@ -70,10 +70,4 @@ final class CountingUtility(
     raw.foreach { case (k, u) => if (k.subsetOf(key) && u > best) best = u }
     best
   }
-
-  /** Best utility observed within the first `q` queries (for curves). */
-  def bestAt(q: Int): Double = {
-    val upTo = curveBuf.takeWhile(_._1 <= q)
-    if (upTo.isEmpty) 0.0 else upTo.last._2
-  }
 }

@@ -22,10 +22,11 @@ final case class TableMeta(
 
 /** A column-oriented table small enough to keep a driver-side copy.
   *
-  * The driver copy is the ground truth used by the deterministic task
-  * implementations; `toDf` is the Spark adapter used by discovery,
-  * profiling, and augmentation joins. Values are stored as strings so one
-  * representation serves numeric columns, join keys, and entity names.
+  * The driver copy is the ground truth: augmentation joins and the
+  * deterministic task implementations read it directly, and discovery and
+  * profiling see it through the lake's tall cell views. Values are stored
+  * as strings so one representation serves numeric columns, join keys, and
+  * entity names.
   */
 final case class LakeTable(
     meta: TableMeta,
@@ -45,20 +46,6 @@ final case class LakeTable(
   /** Numeric view of a column: entries that fail to parse become None. */
   def numeric(name: String): Array[Option[Double]] =
     column(name).map(_.flatMap(_.toDoubleOption))
-
-  /** Spark view with a stable `__rowid` (the driver row index), so join
-    * results can be realigned with the driver copy deterministically.
-    */
-  def toDf(spark: SparkSession): DataFrame = {
-    val schema = StructType(
-      StructField("__rowid", LongType, nullable = false) +:
-        columns.map { case (n, _) => StructField(n, StringType, nullable = true) }
-    )
-    val rows = (0 until nRows).map { i =>
-      Row.fromSeq(i.toLong +: columns.map(_._2(i).orNull))
-    }
-    spark.createDataFrame(spark.sparkContext.parallelize(rows.toSeq, 4), schema)
-  }
 }
 
 object LakeTable {
@@ -121,8 +108,7 @@ final case class Lake(tables: Vector[LakeTable]) {
 }
 
 /** Column-oriented local view of an (augmented) dataset — what the
-  * deterministic black-box tasks consume. `fromDf` adapts any Spark
-  * DataFrame, so a task can equally be fed a distributed table.
+  * deterministic black-box tasks consume.
   */
 final case class LocalTable(columns: Vector[(String, Array[Option[String]])]) {
   require(columns.map(_._2.length).distinct.size <= 1, "ragged columns")
@@ -140,17 +126,5 @@ final case class LocalTable(columns: Vector[(String, Array[Option[String]])]) {
   def add(name: String, values: Array[Option[String]]): LocalTable = {
     require(columns.isEmpty || values.length == nRows, "row count mismatch")
     LocalTable(columns :+ (name -> values))
-  }
-}
-
-object LocalTable {
-
-  /** Collect a DataFrame into a LocalTable (stringly-typed, null→None). */
-  def fromDf(df: DataFrame): LocalTable = {
-    val cols = df.columns.toVector
-    val rows = df.collect()
-    LocalTable(cols.zipWithIndex.map { case (c, i) =>
-      c -> rows.map(r => Option(r.get(i)).map(_.toString))
-    })
   }
 }

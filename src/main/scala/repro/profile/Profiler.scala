@@ -7,6 +7,7 @@ import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructTy
 import scala.util.hashing.MurmurHash3
 
 import repro.core.{AugmentEngine, Candidate}
+import repro.lake.Lake
 import repro.util.Stats
 
 /** The vector of data profiles of every candidate augmentation (§II-C).
@@ -46,9 +47,9 @@ object Profiler {
 
   /** Compute the profile vector of every candidate.
     *
-    * Candidates the engine can batch ([[AugmentEngine.batchable]]: 1-hop,
+    * Candidates the lake's tall cell view serves (`batchable`: 1-hop,
     * joining through their table's first key column) are profiled in a
-    * constant number of Spark jobs over the lake's tall cell view (join
+    * constant number of Spark jobs over that view (join
     * with the input sample → dedup → `corr`/count aggregation, plus an
     * equi-rank binned histogram for MI). Remaining candidates are
     * materialised through the engine and profiled in memory with the
@@ -64,12 +65,12 @@ object Profiler {
     val idx = sampleIndices(input.nRows, SampleSize, SampleSeed)
     val target = input.numeric(targetCol)
 
-    val batchable = cands.filter(engine.batchable)
-    val batchableIds = batchable.map(_.id).toSet
+    val batched = cands.filter(batchable(engine.lake, _))
+    val batchableIds = batched.map(_.id).toSet
 
     val fromBatch: Map[(String, String, String), (Double, Double, Double)] =
-      if (batchable.isEmpty) Map.empty
-      else batchable.groupBy(_.edges.head.leftCol).flatMap { case (leftCol, cs) =>
+      if (batched.isEmpty) Map.empty
+      else batched.groupBy(_.edges.head.leftCol).flatMap { case (leftCol, cs) =>
         batchProfiles(spark, engine, cs, leftCol, targetCol, idx)
           .map { case ((t, vc), v) => (leftCol, t, vc) -> v }
       }
@@ -107,6 +108,13 @@ object Profiler {
 
     Profiles(ProfileNames, byId)
   }
+
+  /** Whether the lake's tall cell view ([[repro.lake.Lake.valueCellsDf]]),
+    * which pairs value columns with each table's first key column, serves
+    * `c`: true for 1-hop candidates joining through that key.
+    */
+  private def batchable(lake: Lake, c: Candidate): Boolean =
+    c.hops == 1 && lake.table(c.edges.head.rightTable).meta.keyCols.headOption.contains(c.edges.head.rightKeyCol)
 
   /** Attribute-name Jaccard blended with a source-equality indicator. */
   def metadataSimilarity(aAttrs: Set[String], aSource: String, bAttrs: Set[String], bSource: String): Double = {

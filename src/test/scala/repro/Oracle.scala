@@ -1,8 +1,11 @@
 package repro
 
 import java.sql.DriverManager
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 import scala.jdk.CollectionConverters._
+
+import repro.lake.LakeTable
 
 /** DuckDB correctness oracle.
   *
@@ -31,6 +34,18 @@ object Oracle {
         }
       })
       .sortBy(_.mkString(""))
+  }
+
+  /** Spark view of a driver table with a stable `__rowid` (the driver row
+    * index), so oracle queries can realign results with the driver copy.
+    */
+  def toDf(spark: SparkSession, t: LakeTable): DataFrame = {
+    val schema = StructType(
+      StructField("__rowid", LongType, nullable = false) +:
+        t.columns.map { case (n, _) => StructField(n, StringType, nullable = true) }
+    )
+    val rows = (0 until t.nRows).map(i => Row.fromSeq(i.toLong +: t.columns.map(_._2(i).orNull)))
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), schema)
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {

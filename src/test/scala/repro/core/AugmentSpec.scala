@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.DataFrame
+import scala.util.Random
 
 import repro.{Oracle, SparkSpec}
 import repro.lake.{Lake, LakeTable, TableMeta}
@@ -29,18 +30,68 @@ class AugmentSpec extends SparkSpec {
     assert(eng.column(cand).toSeq == Seq(Some("10"), Some("20"), None, None))
   }
 
-  test("materializeDf matches the DuckDB left-join oracle") {
-    val eng = engineWith(right)
-    val got = eng.materializeDf(cand).withColumnRenamed(cand.name, "av")
-      .select(col("__rowid").cast("string").as("rid"), col("av"))
+  /** `eng.column(c)` as (rid, av) rows, the shape of the oracle queries. */
+  private def columnDf(eng: AugmentEngine, c: Candidate): DataFrame = {
+    import spark.implicits._
+    eng.column(c).toSeq.zipWithIndex.map { case (v, i) => (i.toString, v.orNull) }.toDF("rid", "av")
+  }
+
+  private val oneHopSql =
+    """SELECT i.__rowid AS rid, MIN(r.v) AS av
+      |FROM input i LEFT JOIN rt r ON i.key = r.key
+      |GROUP BY i.__rowid""".stripMargin
+
+  private val twoHopSql =
+    """SELECT i.__rowid AS rid, MIN(f.pop) AS av
+      |FROM input i LEFT JOIN bridge b ON i.key = b.key LEFT JOIN far f ON b.district = f.key
+      |GROUP BY i.__rowid""".stripMargin
+
+  private def assertMatchesOracle(eng: AugmentEngine, c: Candidate, in: LakeTable, sql: String,
+                                  tables: (String, LakeTable)*): Unit =
     Oracle.assertEquivalent(
-      got,
-      """SELECT i.__rowid AS rid, MIN(r.v) AS av
-        |FROM input i LEFT JOIN rt r ON i.key = r.key
-        |GROUP BY i.__rowid""".stripMargin,
-      "input" -> input.toDf(spark).withColumn("__rowid", col("__rowid").cast("string")),
-      "rt" -> right.toDf(spark).drop("__rowid"),
+      columnDf(eng, c), sql,
+      ("input" -> Oracle.toDf(spark, in)) +: tables.map { case (n, tb) => n -> Oracle.toDf(spark, tb).drop("__rowid") }: _*
     )
+
+  test("column matches the DuckDB left-join oracle") {
+    assertMatchesOracle(engineWith(right), cand, input, oneHopSql, "rt" -> right)
+  }
+
+  test("two-hop fan-out through a duplicated bridge key takes the min over all paths") {
+    // "a" reaches d1 and d2 through two bridge rows; d1 reaches "300" and
+    // "95", d2 reaches "1000": the string min over all paths is "1000".
+    val bridge = t("bridge",
+      "key" -> Seq(Some("a"), Some("a"), Some("b")),
+      "district" -> Seq(Some("d1"), Some("d2"), Some("d1")))
+    val far = t("far",
+      "key" -> Seq(Some("d1"), Some("d2"), Some("d1")),
+      "pop" -> Seq(Some("300"), Some("1000"), Some("95")))
+    val c = Candidate(3, Vector(JoinEdge("key", "bridge", "key"), JoinEdge("district", "far", "key")), "pop")
+    val eng = engineWith(bridge, far)
+    assert(eng.column(c).toSeq == Seq(Some("1000"), Some("300"), None, None))
+    assertMatchesOracle(eng, c, input, twoHopSql, "bridge" -> bridge, "far" -> far)
+  }
+
+  test("random lakes with duplicate, null and unmatched keys match the DuckDB oracle") {
+    Seq(1L, 2L, 3L).foreach { seed =>
+      val rnd = new Random(seed)
+      def cells(n: Int, domain: Seq[String], nullRate: Double): Seq[Option[String]] =
+        Seq.fill(n)(if (rnd.nextDouble() < nullRate) None else Some(domain(rnd.nextInt(domain.size))))
+      val keys = (0 until 12).map(i => s"k$i") // k10, k11 never reach the lake
+      val districts = (0 until 6).map(i => s"d$i") // d5 is not a far key
+      val nums = (0 until 40).map(_.toString)
+      val in = t("input", "key" -> cells(30, keys, 0.1))
+      val bridge = t("bridge",
+        "key" -> cells(25, keys.take(10), 0.1),
+        "district" -> cells(25, districts, 0.15),
+        "v" -> cells(25, nums, 0.2))
+      val far = t("far", "key" -> cells(15, districts.take(5), 0.1), "pop" -> cells(15, nums, 0.2))
+      val eng = new AugmentEngine(spark, in, Lake(Vector(bridge, far)))
+      val oneHop = Candidate(0, Vector(JoinEdge("key", "bridge", "key")), "v")
+      val twoHop = Candidate(1, Vector(JoinEdge("key", "bridge", "key"), JoinEdge("district", "far", "key")), "pop")
+      assertMatchesOracle(eng, oneHop, in, oneHopSql, "rt" -> bridge)
+      assertMatchesOracle(eng, twoHop, in, twoHopSql, "bridge" -> bridge, "far" -> far)
+    }
   }
 
   test("column is memoised (one materialisation per candidate)") {
@@ -53,10 +104,12 @@ class AugmentSpec extends SparkSpec {
     val other = t("other", "key" -> Seq(Some("a"), Some("c")), "w" -> Seq(Some("5"), Some("7")))
     val c2 = Candidate(1, Vector(JoinEdge("key", "other", "key")), "w")
     val engBatch = engineWith(right, other)
-    engBatch.prefetch(Seq(cand, c2))
+    engBatch.prefetch(Seq(cand, c2, cand))
+    assert(engBatch.materializations == 2)
     val engLazy = engineWith(right, other)
     assert(engBatch.column(cand).toSeq == engLazy.column(cand).toSeq)
     assert(engBatch.column(c2).toSeq == engLazy.column(c2).toSeq)
+    engBatch.prefetch(Seq(c2))
     assert(engBatch.materializations == 2)
   }
 
@@ -78,13 +131,6 @@ class AugmentSpec extends SparkSpec {
   test("localTable of empty selection is the input") {
     val eng = engineWith(right)
     assert(eng.localTable(Nil).columns == input.columns)
-  }
-
-  test("augmentedDf agrees with localTable row for row") {
-    val eng = engineWith(right)
-    val df = eng.augmentedDf(Seq(cand)).orderBy("__rowid")
-    val rows = df.select(col(cand.name)).collect().map(r => Option(r.getString(0)))
-    assert(rows.toSeq == eng.column(cand).toSeq)
   }
 
   test("two-hop chain materialises through the bridge") {

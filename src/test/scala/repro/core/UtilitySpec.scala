@@ -98,13 +98,14 @@ class UtilitySpec extends SparkSpec {
     assert(u.bestUtility == 0.7)
   }
 
-  test("bestAt returns the best utility within a query budget") {
+  test("utilityAt returns the best utility within a query budget") {
     val u = mkUtil()
     u.baseUtility
     u.query(Set(cGood))
-    assert(u.bestAt(1) == 0.3)
-    assert(u.bestAt(5) == 0.7)
-    assert(u.bestAt(0) == 0.0)
+    val res = SearchResult("toy", Vector(cGood), u.bestUtility, u.queries, u.curve)
+    assert(res.utilityAt(1) == 0.3)
+    assert(res.utilityAt(5) == 0.7)
+    assert(res.utilityAt(0) == 0.0)
   }
 
   test("utilities are clamped to [0,1]") {

@@ -47,7 +47,7 @@ class LakeModelSpec extends SparkSpec {
   }
 
   test("toDf carries __rowid aligned to driver rows") {
-    val df = table("t1").toDf(spark)
+    val df = Oracle.toDf(spark, table("t1"))
     val rows = df.orderBy("__rowid").collect()
     assert(rows.map(_.getLong(0)).toSeq == Seq(0L, 1L, 2L))
     assert(rows.map(_.getString(1)).toSeq == Seq("a", "b", "c"))
@@ -55,7 +55,7 @@ class LakeModelSpec extends SparkSpec {
   }
 
   test("toDf row count matches via DuckDB oracle") {
-    val df = table("t1").toDf(spark)
+    val df = Oracle.toDf(spark, table("t1"))
     Oracle.assertEquivalent(
       df.groupBy().count().withColumnRenamed("count", "n"),
       "SELECT COUNT(*) AS n FROM t",
@@ -103,13 +103,6 @@ class LakeModelSpec extends SparkSpec {
   test("LocalTable add rejects wrong row count") {
     val lt = LocalTable(Vector("a" -> Array(Some("1"))))
     intercept[IllegalArgumentException](lt.add("b", Array(Some("1"), Some("2"))))
-  }
-
-  test("LocalTable.fromDf round-trips a LakeTable") {
-    val t = table("t1")
-    val lt = LocalTable.fromDf(t.toDf(spark).orderBy("__rowid").drop("__rowid"))
-    assert(lt.columnNames == Vector("key", "v"))
-    assert(lt.column("v").toSeq == t.column("v").toSeq)
   }
 
   test("LocalTable numeric view") {

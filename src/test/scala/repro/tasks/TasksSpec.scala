@@ -198,9 +198,7 @@ class TasksSpec extends AnyFunSuite {
     assert(u1 >= u0 - 1e-12)
   }
 
-  test("utilityOf adapts a Spark DataFrame (LocalTable.fromDf path)") {
-    // Covered indirectly elsewhere; here just check the trait wiring with
-    // a constant task to stay Spark-free.
+  test("a constant task returns its utility for any table") {
     val const = new Task {
       def name = "const"
       def utility(t: LocalTable): Double = 0.42
