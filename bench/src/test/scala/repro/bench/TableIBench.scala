@@ -8,8 +8,9 @@ import repro.lake.RepoStats
   *
   * Paper: Open-Data 69K tables / 29.5M columns / 28.6M joinable / 119G;
   * Kaggle 1950 / 91231 / 6.7M / 18G. We generate both repositories scaled
-  * ~1/100 in table count and measure the same statistics with Spark; the
-  * *shape* to preserve is Open-Data ≫ Kaggle on every axis and joinable
+  * ~1/100 (Open Data) and ~1/10 (Kaggle) in table count and measure the
+  * same statistics: tables, columns and bytes with Spark, joinable pairs
+  * with Aurum-lite's driver-side containment index; the *shape* to preserve is Open-Data ≫ Kaggle on every axis and joinable
   * pairs forming a large multiple of the table count.
   */
 class TableIBench extends SparkSpec {

@@ -1,19 +1,20 @@
 package repro.discovery
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 
 import repro.core.{Candidate, JoinEdge}
 import repro.lake.{Lake, LakeTable}
 
-/** Aurum-lite: join-path discovery over a cell-level inverted index.
+/** Aurum-lite: join-path discovery over an inverted index.
   *
   * The paper delegates candidate generation to Aurum; we rebuild the part
   * METAM consumes — "which (column, column) pairs join, and through which
-  * paths" — as Spark dataflow: the lake's key cells are joined value-to-
-  * value, grouped per column pair, and scored by containment
-  * `|V_l ∩ V_r| / |V_l|`. Approximate indexes admit false positives, so a
-  * low `minContainment` deliberately lets spurious (erroneous) join paths
+  * paths" — as one inverted index from each key value to the columns that
+  * hold it, scoring every column pair by containment `|V_l ∩ V_r| / |V_l|`.
+  * The index is built on the driver, where the lake lives: a Spark
+  * self-join on value would ship every key cell out only to collect the
+  * pairs back. Approximate indexes admit false positives, so a low
+  * `minContainment` deliberately lets spurious (erroneous) join paths
   * through, matching the ~60% erroneous candidates the paper reports.
   */
 object JoinDiscovery {
@@ -28,44 +29,26 @@ object JoinDiscovery {
       containment: Double,
   )
 
-  /** All joinable column pairs among the lake's key columns.
+  /** All ordered pairs of columns of different tables whose distinct-value
+    * overlap covers at least `minContainment` of the left column's distinct
+    * values, sorted by (leftTable, leftCol, rightTable, rightCol).
     *
-    * @param keyCells tall (table, col, __rowid, value) DataFrame
-    * @param minContainment minimum `distinct-overlap / distinct-left` ratio
+    * @param columns    (table, column) → the column's distinct non-null values
+    * @param leftTables when given, only these tables' columns are left sides
     */
-  def joinablePairsDf(keyCells: DataFrame, minContainment: Double,
-                      leftTables: Option[Seq[String]] = None): DataFrame = {
-    val distinctCells = keyCells
-      .where(col("value").isNotNull)
-      .select(col("table"), col("col"), col("value"))
-      .distinct()
-    val counts = distinctCells
-      .groupBy("table", "col")
-      .agg(count(lit(1)).as("n"))
-    val leftCells = leftTables.fold(distinctCells)(ts => distinctCells.where(col("table").isin(ts: _*)))
-    val l = leftCells.select(col("table").as("lt"), col("col").as("lc"), col("value"))
-    val r = distinctCells.select(col("table").as("rt"), col("col").as("rc"), col("value"))
-    l.join(r, Seq("value"))
-      .where(col("lt") =!= col("rt"))
-      .groupBy("lt", "lc", "rt", "rc")
-      .agg(count(lit(1)).as("overlap"))
-      .join(counts.select(col("table").as("lt"), col("col").as("lc"), col("n").as("ln")), Seq("lt", "lc"))
-      .select(
-        col("lt").as("leftTable"), col("lc").as("leftCol"),
-        col("rt").as("rightTable"), col("rc").as("rightCol"),
-        col("overlap"),
-        (col("overlap") / col("ln")).as("containment"),
-      )
-      .where(col("containment") >= minContainment)
+  def joinablePairs(columns: Map[(String, String), Set[String]], minContainment: Double,
+                    leftTables: Option[Set[String]] = None): Vector[JoinablePair] = {
+    val cols = columns.toVector
+    val holders = cols.indices.flatMap(i => cols(i)._2.iterator.map(_ -> i)).groupMap(_._1)(_._2)
+    val pairs = for {
+      ((lt, lc), lvals) <- cols if leftTables.forall(_.contains(lt))
+      (r, overlap) <- lvals.view.flatMap(holders).groupMapReduce(identity)(_ => 1L)(_ + _)
+      (rt, rc) = cols(r)._1
+      containment = overlap.toDouble / lvals.size
+      if rt != lt && containment >= minContainment
+    } yield JoinablePair(lt, lc, rt, rc, overlap, containment)
+    pairs.sortBy(p => (p.leftTable, p.leftCol, p.rightTable, p.rightCol))
   }
-
-  def joinablePairs(keyCells: DataFrame, minContainment: Double,
-                    leftTables: Option[Seq[String]] = None): Vector[JoinablePair] =
-    joinablePairsDf(keyCells, minContainment, leftTables)
-      .collect()
-      .map(r => JoinablePair(r.getString(0), r.getString(1), r.getString(2), r.getString(3), r.getLong(4), r.getDouble(5)))
-      .sortBy(p => (p.leftTable, p.leftCol, p.rightTable, p.rightCol))
-      .toVector
 
   /** Candidate augmentations for `input`: every non-key column reachable
     * over a join path of at most `maxHops` hops starting from one of
@@ -73,6 +56,9 @@ object JoinDiscovery {
     * pair discovered among lake tables onto a hop-1 path (paper
     * Definition 3 chains of joins). Candidate ids are assigned in a
     * deterministic order.
+    *
+    * @param spark unused, as discovery needs no Spark; kept in the signature
+    *              that `Runner` and the `metambench` harness call
     */
   def candidatesFor(
       spark: SparkSession,
@@ -82,10 +68,9 @@ object JoinDiscovery {
       maxHops: Int = 1,
   ): Vector[Candidate] = {
     require(maxHops >= 1 && maxHops <= 2, "supported join-path depth is 1 or 2")
-    val inputLake = Lake(input +: lake.tables)
     // Depth-1 discovery only needs pairs anchored at the input table.
-    val leftFilter = if (maxHops == 1) Some(Seq(input.meta.name)) else None
-    val pairs = joinablePairs(inputLake.keyCellsDf(spark), minContainment, leftFilter)
+    val leftFilter = if (maxHops == 1) Some(Set(input.meta.name)) else None
+    val pairs = joinablePairs(Lake(input +: lake.tables).keyColumns, minContainment, leftFilter)
 
     val hop1: Vector[Vector[JoinEdge]] = pairs
       .filter(p => p.leftTable == input.meta.name)
@@ -102,7 +87,7 @@ object JoinDiscovery {
 
     val paths = (hop1 ++ hop2.distinct).distinct
     val cands = for {
-      (edges, pi) <- paths.zipWithIndex
+      edges <- paths
       t = lake.table(edges.last.rightTable)
       vc <- t.columnNames if !t.meta.keyCols.contains(vc)
     } yield (edges, vc)

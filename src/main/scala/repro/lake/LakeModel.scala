@@ -1,7 +1,7 @@
 package repro.lake
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
 /** Metadata describing a lake table — the substrate for the paper's
   * metadata/attributes profile and the semantic-embedding profile.
@@ -23,8 +23,9 @@ final case class TableMeta(
 /** A column-oriented table small enough to keep a driver-side copy.
   *
   * The driver copy is the ground truth: augmentation joins and the
-  * deterministic task implementations read it directly, and discovery and
-  * profiling see it through the lake's tall cell views. Values are stored
+  * deterministic task implementations read it directly, discovery reads
+  * its key columns' distinct values, and profiling sees it through the
+  * lake's tall cell view ([[Lake.valueCellsDf]]). Values are stored
   * as strings so one representation serves numeric columns, join keys, and
   * entity names.
   */
@@ -66,24 +67,12 @@ final case class Lake(tables: Vector[LakeTable]) {
 
   def size: Int = tables.size
 
-  /** Tall (table, col, __rowid, value) view of every key column — the
-    * cell-level inverted index Aurum-lite discovers joins over.
+  /** Distinct non-null values of every key column, by (table, column) —
+    * what Aurum-lite's inverted index ([[repro.discovery.JoinDiscovery]])
+    * discovers joins over.
     */
-  def keyCellsDf(spark: SparkSession): DataFrame = {
-    val schema = StructType(Seq(
-      StructField("table", StringType, nullable = false),
-      StructField("col", StringType, nullable = false),
-      StructField("__rowid", LongType, nullable = false),
-      StructField("value", StringType, nullable = true),
-    ))
-    val rows = for {
-      t <- tables
-      kc <- t.meta.keyCols
-      vals = t.column(kc)
-      i <- 0 until t.nRows
-    } yield Row(t.meta.name, kc, i.toLong, vals(i).orNull)
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
-  }
+  def keyColumns: Map[(String, String), Set[String]] =
+    (for (t <- tables; kc <- t.meta.keyCols) yield (t.meta.name, kc) -> t.column(kc).iterator.flatten.toSet).toMap
 
   /** Tall (table, valueCol, key, value) view pairing each non-key column
     * with the table's first key column — the batched input for profiling

@@ -10,11 +10,11 @@ import repro.discovery.JoinDiscovery
   *
   * The paper catalogs Open Data (69K tables, 29.5M columns, 28.6M joinable
   * columns, 119 GB) and Kaggle (1950 tables, 91K columns, 6.7M joinable,
-  * 18 GB). We generate both as synthetic repositories scaled ~1/100 in
-  * table count (`SynthData.repoCells`), then *measure* the same four
-  * statistics with Spark aggregations — table count, column count,
-  * joinable column pairs (via Aurum-lite discovery), and materialised
-  * bytes.
+  * 18 GB). We generate both as synthetic repositories scaled ~1/100 and
+  * ~1/10 in table count (`SynthData.repoCells`), then *measure* the same
+  * four statistics: table count, column count and materialised bytes with
+  * Spark aggregations, and joinable column pairs with Aurum-lite's
+  * driver-side index over the collected distinct key cells.
   */
 object RepoStats {
 
@@ -36,8 +36,9 @@ object RepoStats {
     SynthData.repoCells(spark, nTables = 195, keyCols = 3, nDomains = 12, colSpread = 70, rowSpread = 60, seed = 60)
 
   /** Compute the Table-I statistics of a cell-level repository with Spark
-    * aggregations; joinable pairs come from the same containment-based
-    * discovery the search pipeline uses.
+    * aggregations; joinable pairs come from the same containment index
+    * ([[JoinDiscovery.joinablePairs]]) the search pipeline uses, over the
+    * distinct non-null cells of the key columns `col_0`..`col_2`.
     */
   def characteristics(spark: SparkSession, name: String, cells: DataFrame,
                       minContainment: Double = 0.5): Characteristics = {
@@ -48,8 +49,11 @@ object RepoStats {
       val sizeBytes = cached
         .select(sum(length(col("value")) + length(col("col")) + length(col("table")) + lit(8)))
         .head().getLong(0)
-      val keyCells = cached.where(col("col").isin("col_0", "col_1", "col_2"))
-      val nJoinable = JoinDiscovery.joinablePairsDf(keyCells, minContainment).count()
+      val keyColumns = cached
+        .where(col("col").isin("col_0", "col_1", "col_2") && col("value").isNotNull)
+        .select("table", "col", "value").collect()
+        .groupMapReduce(r => (r.getString(0), r.getString(1)))(r => Set(r.getString(2)))(_ ++ _)
+      val nJoinable = JoinDiscovery.joinablePairs(keyColumns, minContainment).size.toLong
       Characteristics(name, nTables, nColumns, nJoinable, sizeBytes)
     } finally { cached.unpersist(); () }
   }

@@ -1,6 +1,7 @@
 package repro.discovery
 
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.DataFrame
+import scala.util.Random
 
 import repro.{Oracle, SparkSpec}
 import repro.lake.{Lake, LakeTable, TableMeta}
@@ -22,48 +23,90 @@ class JoinDiscoverySpec extends SparkSpec {
   private def lakeOf(ts: LakeTable*) = Lake(ts.toVector)
 
   test("joinablePairs finds fully-contained columns") {
-    val pairs = JoinDiscovery.joinablePairs(lakeOf(input, full).keyCellsDf(spark), 0.9)
+    val pairs = JoinDiscovery.joinablePairs(lakeOf(input, full).keyColumns, 0.9)
     assert(pairs.exists(p => p.leftTable == "input" && p.rightTable == "full" && p.containment == 1.0))
   }
 
   test("joinablePairs respects the containment threshold") {
-    val cells = lakeOf(input, partial).keyCellsDf(spark)
-    val strict = JoinDiscovery.joinablePairs(cells, 0.9)
+    val columns = lakeOf(input, partial).keyColumns
+    val strict = JoinDiscovery.joinablePairs(columns, 0.9)
     assert(!strict.exists(p => p.leftTable == "input" && p.rightTable == "partial"))
-    val loose = JoinDiscovery.joinablePairs(cells, 0.5)
+    val loose = JoinDiscovery.joinablePairs(columns, 0.5)
     assert(loose.exists(p => p.leftTable == "input" && p.rightTable == "partial" && p.containment == 0.5))
   }
 
   test("joinablePairs never pairs a table with itself") {
-    val pairs = JoinDiscovery.joinablePairs(lakeOf(input, full, partial).keyCellsDf(spark), 0.01)
+    val pairs = JoinDiscovery.joinablePairs(lakeOf(input, full, partial).keyColumns, 0.01)
     assert(pairs.forall(p => p.leftTable != p.rightTable))
   }
 
   test("joinablePairs excludes disjoint key domains") {
-    val pairs = JoinDiscovery.joinablePairs(lakeOf(input, disjoint).keyCellsDf(spark), 0.01)
+    val pairs = JoinDiscovery.joinablePairs(lakeOf(input, disjoint).keyColumns, 0.01)
     assert(pairs.isEmpty)
   }
 
   test("joinablePairs leftTables filter restricts anchors") {
-    val pairs = JoinDiscovery.joinablePairs(lakeOf(input, full, partial).keyCellsDf(spark), 0.1, Some(Seq("input")))
+    val pairs = JoinDiscovery.joinablePairs(lakeOf(input, full, partial).keyColumns, 0.1, Some(Set("input")))
     assert(pairs.nonEmpty && pairs.forall(_.leftTable == "input"))
   }
 
-  test("overlap counts match the DuckDB oracle") {
-    val cells = lakeOf(input, full, partial).keyCellsDf(spark)
-      .withColumnRenamed("table", "tbl").withColumnRenamed("col", "c")
-    val got = JoinDiscovery
-      .joinablePairsDf(
-        cells.withColumnRenamed("tbl", "table").withColumnRenamed("c", "col"), 0.01)
-      .select(col("leftTable"), col("rightTable"), col("overlap").cast("string").as("overlap"))
+  /** Tall (tbl, c, value) view of a lake's key cells, nulls included. */
+  private def keyCells(lake: Lake): DataFrame =
+    spark.createDataFrame(for {
+      t <- lake.tables
+      kc <- t.meta.keyCols
+      v <- t.column(kc).toSeq
+    } yield (t.meta.name, kc, v.orNull)).toDF("tbl", "c", "value")
+
+  /** `joinablePairs` of `lake` checked per column pair against the DuckDB
+    * self-join over its key cells, anchored at `anchor` when given.
+    */
+  private def assertPairsMatchOracle(lake: Lake, minContainment: Double, anchor: Option[String]): Unit = {
+    val pairs = JoinDiscovery.joinablePairs(lake.keyColumns, minContainment, anchor.map(Set(_)))
+    assert(pairs == pairs.sortBy(p => (p.leftTable, p.leftCol, p.rightTable, p.rightCol)))
+    val got = spark.createDataFrame(pairs.map(p =>
+      (p.leftTable, p.leftCol, p.rightTable, p.rightCol, p.overlap.toString, p.containment)))
+      .toDF("leftTable", "leftCol", "rightTable", "rightCol", "overlap", "containment")
     Oracle.assertEquivalent(
       got,
-      """WITH dc AS (SELECT DISTINCT tbl, c, value FROM cells WHERE value IS NOT NULL)
-        |SELECT l.tbl AS leftTable, r.tbl AS rightTable, CAST(COUNT(*) AS VARCHAR) AS overlap
-        |FROM dc l JOIN dc r ON l.value = r.value AND l.tbl <> r.tbl
-        |GROUP BY l.tbl, r.tbl""".stripMargin,
-      "cells" -> cells.select("tbl", "c", "value"),
+      s"""WITH dc AS (SELECT DISTINCT tbl, c, value FROM cells WHERE value IS NOT NULL),
+         |n AS (SELECT tbl, c, COUNT(*) AS n FROM dc GROUP BY tbl, c)
+         |SELECT l.tbl AS leftTable, l.c AS leftCol, r.tbl AS rightTable, r.c AS rightCol,
+         |  CAST(COUNT(*) AS VARCHAR) AS overlap, CAST(COUNT(*) AS DOUBLE) / n.n AS containment
+         |FROM dc l JOIN dc r ON l.value = r.value AND l.tbl <> r.tbl
+         |JOIN n ON n.tbl = l.tbl AND n.c = l.c
+         |${anchor.fold("")(a => s"WHERE l.tbl = '$a'")}
+         |GROUP BY l.tbl, l.c, r.tbl, r.c, n.n
+         |HAVING CAST(COUNT(*) AS DOUBLE) / n.n >= $minContainment""".stripMargin,
+      "cells" -> keyCells(lake),
     )
+  }
+
+  test("overlap counts match the DuckDB oracle") {
+    assertPairsMatchOracle(lakeOf(input, full, partial), 0.01, None)
+  }
+
+  test("random lakes with null, repeated and multi-column keys match the DuckDB oracle") {
+    Seq(1L, 2L, 3L).foreach { seed =>
+      val rnd = new Random(seed)
+      def cells(n: Int, domain: Int, nullRate: Double): Seq[String] =
+        Seq.fill(n)(if (rnd.nextDouble() < nullRate) null else s"k${rnd.nextInt(domain)}")
+      def keyed(name: String, keys: (String, Seq[String])*): LakeTable = {
+        val n = keys.head._2.size
+        LakeTable(TableMeta(name, "src", keys.map(_._1).toVector, Vector(name)),
+          keys.toVector.map { case (c, vs) => c -> vs.map(Option(_)).toArray } :+
+            ("v" -> Array.tabulate(n)(i => Option(s"$name$i"))))
+      }
+      val lake = lakeOf(
+        keyed("input", "key" -> cells(20, 12, 0.1)),
+        keyed("repeats", "key" -> cells(30, 6, 0.2)), // few values, each repeated
+        keyed("two", "key" -> cells(15, 16, 0.1), "k2" -> cells(15, 24, 0.3)),
+        keyed("nulls", "key" -> Seq.fill(10)(null)), // all-null key column
+        keyed("wide", "key" -> cells(25, 30, 0.05)),
+      )
+      assertPairsMatchOracle(lake, 0.3, Some("input")) // 1-hop discovery
+      assertPairsMatchOracle(lake, 0.3, None) // 2-hop discovery
+    }
   }
 
   test("candidatesFor returns one candidate per non-key column of joinable tables") {

@@ -73,11 +73,21 @@ class LakeModelSpec extends SparkSpec {
     intercept[RuntimeException](lake.table("nope"))
   }
 
-  test("keyCellsDf lists one row per key cell") {
-    val lake = Lake(Vector(table("t1"), table("t2")))
-    val cells = lake.keyCellsDf(spark).collect()
-    assert(cells.length == 6) // 2 tables x 3 key rows
-    assert(cells.forall(_.getString(1) == "key"))
+  test("keyColumns lists each key column's distinct non-null values") {
+    val twoKeys = LakeTable(
+      TableMeta("t2", "src", Vector("key", "k2"), Vector("tok")),
+      Vector(
+        "key" -> Array(Some("a"), None, Some("a"), Some("b")),
+        "k2" -> Array(None, None, None, None),
+        "v" -> Array(Some("1"), Some("2"), Some("3"), Some("4")),
+      ),
+    )
+    val lake = Lake(Vector(table("t1"), twoKeys))
+    assert(lake.keyColumns == Map(
+      ("t1", "key") -> Set("a", "b", "c"),
+      ("t2", "key") -> Set("a", "b"),
+      ("t2", "k2") -> Set.empty[String],
+    ))
   }
 
   test("valueCellsDf pairs values with the table key") {

@@ -2,7 +2,7 @@ package repro.lake
 
 import org.apache.spark.sql.functions._
 
-import repro.{SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec, SynthData}
 
 class RepoStatsSpec extends SparkSpec {
 
@@ -52,6 +52,30 @@ class RepoStatsSpec extends SparkSpec {
     // Single shared domain of 20 values over 41+ rows → high containment
     // between every pair of key columns: 8*7 ordered pairs.
     assert(ch.nJoinablePairs == 56)
+  }
+
+  test("characteristics counts joinable pairs as the DuckDB oracle does at partial containment") {
+    // Three domains of 60 values drawn 41-70 times per key column: a column
+    // covers about half to two thirds of its domain, so containment falls on
+    // both sides of 0.5.
+    val cells = SynthData.repoCells(spark, nTables = 12, keyCols = 2, nDomains = 3, domainSize = 60,
+      colSpread = 2, rowSpread = 30)
+    val ch = RepoStats.characteristics(spark, "partial", cells, minContainment = 0.5)
+    val keyCells = cells.where(col("col").isin("col_0", "col_1", "col_2"))
+      .select(col("table").as("tbl"), col("col").as("c"), col("value"))
+    val sql =
+      """WITH dc AS (SELECT DISTINCT tbl, c, value FROM cells WHERE value IS NOT NULL),
+        |n AS (SELECT tbl, c, COUNT(*) AS n FROM dc GROUP BY tbl, c),
+        |o AS (SELECT l.tbl, l.c, COUNT(*) AS overlap FROM dc l
+        |      JOIN dc r ON l.value = r.value AND l.tbl <> r.tbl GROUP BY l.tbl, l.c, r.tbl, r.c)
+        |SELECT CAST(COUNT(*) AS VARCHAR) AS pairs FROM o JOIN n ON n.tbl = o.tbl AND n.c = o.c
+        |WHERE CAST(o.overlap AS DOUBLE) / n.n >= %s""".stripMargin
+    Oracle.assertEquivalent(spark.createDataFrame(Seq(Tuple1(ch.nJoinablePairs.toString))).toDF("pairs"),
+      sql.format("0.5"), "cells" -> keyCells)
+    // The threshold matters: some but not all column pairs that share a
+    // domain reach 0.5.
+    val loose = RepoStats.characteristics(spark, "partial", cells, minContainment = 0.01)
+    assert(ch.nJoinablePairs > 0 && ch.nJoinablePairs < loose.nJoinablePairs)
   }
 
   test("openDataLite is larger than kaggleLite on every axis") {
