@@ -3,7 +3,8 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 
-import repro.lake.{Lake, LakeTable, LocalTable}
+import repro.lake.{Lake, LakeTable, LocalTable, ParsedColumns}
+import repro.util.NumericColumn
 
 /** One hop of a join path (Definition 3): join the previous table's
   * `leftCol` with `rightTable.rightKeyCol`.
@@ -40,7 +41,11 @@ final case class Candidate(id: Int, edges: Vector[JoinEdge], valueCol: String) {
   *
   * Materialised columns are memoised: Γ(D_in, T ∪ {P}) shares P's column
   * with every other selection containing P, so a 1000-query search loop
-  * joins each candidate once.
+  * joins each candidate once. Next to each column the engine keeps its
+  * numeric view, parsed the first time a task or the profiler reads it;
+  * the input's columns are parsed once per engine in the same way. The
+  * tables [[localTable]] hands to tasks carry these views, so a query
+  * parses no cell another query of the same engine has parsed.
   *
   * @param spark unused, as Γ needs no Spark; kept in the constructor that
   *              `Runner` and the `metambench` harness call
@@ -48,6 +53,7 @@ final case class Candidate(id: Int, edges: Vector[JoinEdge], valueCol: String) {
 final class AugmentEngine(spark: SparkSession, val input: LakeTable, val lake: Lake) {
 
   private val memo = mutable.HashMap.empty[Int, Array[Option[String]]]
+  private val parsed = new ParsedColumns
 
   /** Number of candidate columns materialised so far (for efficiency tests). */
   def materializations: Int = memo.size
@@ -75,6 +81,9 @@ final class AugmentEngine(spark: SparkSession, val input: LakeTable, val lake: L
     input.column(c.edges.head.leftCol).map(_.flatMap(reach))
   })
 
+  /** Numeric view of `c`'s materialised column; parsed once, on first read. */
+  def numeric(c: Candidate): NumericColumn = parsed(column(c))
+
   /** Materialise every candidate's column ahead of the search. */
   def prefetch(cands: Seq[Candidate]): Unit = cands.foreach(column)
 
@@ -82,5 +91,5 @@ final class AugmentEngine(spark: SparkSession, val input: LakeTable, val lake: L
     * selected candidate, aligned on the input's row order.
     */
   def localTable(sel: Seq[Candidate]): LocalTable =
-    LocalTable(input.columns ++ sel.toVector.map(c => c.name -> column(c)))
+    LocalTable(input.columns ++ sel.toVector.map(c => c.name -> column(c)), parsed)
 }

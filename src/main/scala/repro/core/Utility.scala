@@ -22,6 +22,9 @@ final class BudgetExhausted(val budget: Int) extends RuntimeException(s"query bu
   * utility — exactly "wrap the task with a mechanism that ignores an
   * augmentation if it worsens utility", with the already-paid queries as
   * the certificates.
+  *
+  * A task that returns NaN is recorded as utility 0.0, so one undefined
+  * score cannot turn the best-so-far and every later curve point into NaN.
   */
 final class CountingUtility(
     engine: AugmentEngine,
@@ -48,8 +51,8 @@ final class CountingUtility(
     val fresh = !raw.contains(key)
     if (fresh && raw.size >= budget) throw new BudgetExhausted(budget)
     val rawU = raw.getOrElseUpdate(key, {
-      val u = Stats.clamp01(task.utility(engine.localTable(sel.toSeq.sortBy(_.id))))
-      u
+      val u = task.utility(engine.localTable(sel.toSeq.sortBy(_.id)))
+      if (u.isNaN) 0.0 else Stats.clamp01(u)
     })
     val u = if (monotone) monotoneClosure(key, rawU) else rawU
     if (fresh) {

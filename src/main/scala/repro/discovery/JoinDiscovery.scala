@@ -1,6 +1,7 @@
 package repro.discovery
 
 import org.apache.spark.sql.SparkSession
+import scala.collection.mutable
 
 import repro.core.{Candidate, JoinEdge}
 import repro.lake.{Lake, LakeTable}
@@ -39,15 +40,24 @@ object JoinDiscovery {
   def joinablePairs(columns: Map[(String, String), Set[String]], minContainment: Double,
                     leftTables: Option[Set[String]] = None): Vector[JoinablePair] = {
     val cols = columns.toVector
-    val holders = cols.indices.flatMap(i => cols(i)._2.iterator.map(_ -> i)).groupMap(_._1)(_._2)
-    val pairs = for {
-      ((lt, lc), lvals) <- cols if leftTables.forall(_.contains(lt))
-      (r, overlap) <- lvals.view.flatMap(holders).groupMapReduce(identity)(_ => 1L)(_ + _)
-      (rt, rc) = cols(r)._1
-      containment = overlap.toDouble / lvals.size
-      if rt != lt && containment >= minContainment
-    } yield JoinablePair(lt, lc, rt, rc, overlap, containment)
-    pairs.sortBy(p => (p.leftTable, p.leftCol, p.rightTable, p.rightCol))
+    val holders = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
+    cols.indices.foreach(i => cols(i)._2.foreach(v => holders.getOrElseUpdate(v, mutable.ArrayBuffer.empty) += i))
+    // overlap(r) counts the current left column's values that column r
+    // holds; only the columns it touched are read and reset.
+    val overlap = new Array[Long](cols.length)
+    val touched = mutable.ArrayBuffer.empty[Int]
+    val pairs = Vector.newBuilder[JoinablePair]
+    for (((lt, lc), lvals) <- cols if leftTables.forall(_.contains(lt))) {
+      lvals.foreach(v => holders(v).foreach { r => if (overlap(r) == 0) touched += r; overlap(r) += 1 })
+      touched.foreach { r =>
+        val (rt, rc) = cols(r)._1
+        val containment = overlap(r).toDouble / lvals.size
+        if (rt != lt && containment >= minContainment) pairs += JoinablePair(lt, lc, rt, rc, overlap(r), containment)
+        overlap(r) = 0
+      }
+      touched.clear()
+    }
+    pairs.result().sortBy(p => (p.leftTable, p.leftCol, p.rightTable, p.rightCol))
   }
 
   /** Candidate augmentations for `input`: every non-key column reachable

@@ -3,6 +3,8 @@ package repro.lake
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
+import repro.util.NumericColumn
+
 /** Metadata describing a lake table — the substrate for the paper's
   * metadata/attributes profile and the semantic-embedding profile.
   *
@@ -46,7 +48,7 @@ final case class LakeTable(
 
   /** Numeric view of a column: entries that fail to parse become None. */
   def numeric(name: String): Array[Option[Double]] =
-    column(name).map(_.flatMap(_.toDoubleOption))
+    column(name).map(NumericColumn.parse)
 }
 
 object LakeTable {
@@ -98,8 +100,17 @@ final case class Lake(tables: Vector[LakeTable]) {
 
 /** Column-oriented local view of an (augmented) dataset — what the
   * deterministic black-box tasks consume.
+  *
+  * Tasks read numeric columns through [[numeric]], the column's
+  * [[NumericColumn]] from `parsed`. [[repro.core.AugmentEngine.localTable]]
+  * passes its engine's views, so a column is parsed once per engine
+  * however many queries read it; a table built on its own parses each
+  * column once for itself and the tables `add` derives from it.
   */
-final case class LocalTable(columns: Vector[(String, Array[Option[String]])]) {
+final case class LocalTable(
+    columns: Vector[(String, Array[Option[String]])],
+    parsed: ParsedColumns = new ParsedColumns,
+) {
   require(columns.map(_._2.length).distinct.size <= 1, "ragged columns")
 
   def nRows: Int = if (columns.isEmpty) 0 else columns.head._2.length
@@ -109,11 +120,30 @@ final case class LocalTable(columns: Vector[(String, Array[Option[String]])]) {
   def column(name: String): Array[Option[String]] =
     columns.find(_._1 == name).getOrElse(sys.error(s"no column $name"))._2
 
-  def numeric(name: String): Array[Option[Double]] =
-    column(name).map(_.flatMap(_.toDoubleOption))
+  /** Numeric view of a column, parsed on its first read. */
+  def numeric(name: String): NumericColumn = parsed(column(name))
 
   def add(name: String, values: Array[Option[String]]): LocalTable = {
     require(columns.isEmpty || values.length == nRows, "row count mismatch")
-    LocalTable(columns :+ (name -> values))
+    LocalTable(columns :+ (name -> values), parsed)
+  }
+}
+
+/** Numeric views of string columns: each column array is parsed with
+  * [[NumericColumn.of]] the first time it is read, and its view is kept as
+  * long as this object is. Columns are told apart by identity, since a
+  * materialised column is never modified.
+  */
+final class ParsedColumns {
+  private val views = new java.util.IdentityHashMap[Array[Option[String]], NumericColumn]
+
+  def apply(cells: Array[Option[String]]): NumericColumn = {
+    val known = views.get(cells)
+    if (known != null) known
+    else {
+      val view = NumericColumn.of(cells)
+      views.put(cells, view)
+      view
+    }
   }
 }

@@ -81,7 +81,8 @@ object Profiler {
           fromBatch.getOrElse((c.edges.head.leftCol, c.table, c.valueCol), (0.0, 0.0, 0.0))
         else {
           val colVals = engine.column(c)
-          val xs = idx.map(i => colVals(i).flatMap(_.toDoubleOption))
+          val parsed = engine.numeric(c)
+          val xs = idx.map(parsed(_))
           val ys = idx.map(i => target(i))
           // Overlap counts joined values even when not numeric.
           val matched = idx.count(i => colVals(i).isDefined)

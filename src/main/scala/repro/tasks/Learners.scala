@@ -2,7 +2,7 @@ package repro.tasks
 
 import scala.util.Random
 
-import repro.util.Stats
+import repro.util.{NumericColumn, Stats}
 
 /** Deterministic in-memory learners backing the predictive tasks.
   *
@@ -14,18 +14,16 @@ import repro.util.Stats
   */
 object Learners {
 
-  /** Dense design matrix from optional feature columns with mean
+  /** Dense design matrix from numeric feature columns with mean
     * imputation for missing entries (failed joins).
     */
-  def designMatrix(features: Vector[Array[Option[Double]]]): Array[Array[Double]] = {
+  def designMatrix(features: Vector[NumericColumn]): Array[Array[Double]] = {
     val n = if (features.isEmpty) 0 else features.head.length
-    val means = features.map { col =>
-      val present = col.flatten
-      if (present.isEmpty) 0.0 else present.sum / present.length
+    val filled = features.map { col =>
+      val present = col.parsedValues
+      col.orElse(if (present.isEmpty) 0.0 else present.sum / present.length)
     }
-    Array.tabulate(n) { i =>
-      features.indices.map(j => features(j)(i).getOrElse(means(j))).toArray
-    }
+    Array.tabulate(n)(i => Array.tabulate(filled.length)(j => filled(j)(i)))
   }
 
   /** Deterministic train/validation split by row-index hash. */

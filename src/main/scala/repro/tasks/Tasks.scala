@@ -15,10 +15,8 @@ object Tasks {
     */
   def featureColumns(table: LocalTable, excluded: Set[String]): Vector[String] =
     table.columnNames.filterNot(excluded.contains).filter { c =>
-      val vals = table.column(c)
-      val nonNull = vals.count(_.isDefined)
-      val parsed = vals.count(_.exists(_.toDoubleOption.isDefined))
-      parsed >= 3 && nonNull > 0 && parsed.toDouble / nonNull >= 0.9
+      val vals = table.numeric(c)
+      vals.count >= 3 && vals.nonNull > 0 && vals.count.toDouble / vals.nonNull >= 0.9
     }
 
   /** Supervised classification (paper: random-forest price / schools
@@ -35,7 +33,7 @@ object Tasks {
   ) extends Task {
 
     def utility(table: LocalTable): Double = {
-      val y = table.numeric(targetCol).map(_.getOrElse(0.0))
+      val y = table.numeric(targetCol).orElse(0.0)
       val feats = featureColumns(table, excluded + targetCol)
       if (feats.isEmpty) return 0.0
       val x = Learners.designMatrix(feats.map(table.numeric))
@@ -60,7 +58,7 @@ object Tasks {
   ) extends Task {
 
     def utility(table: LocalTable): Double = {
-      val y = table.numeric(targetCol).map(_.getOrElse(0.0))
+      val y = table.numeric(targetCol).orElse(0.0)
       val feats = featureColumns(table, excluded + targetCol)
       if (feats.isEmpty) return 0.0
       val x = Learners.designMatrix(feats.map(table.numeric))
@@ -98,7 +96,7 @@ object Tasks {
         .filterNot(c => c == outcomeCol || excluded.contains(c))
         .filter { c =>
           val xs = table.numeric(c)
-          val pairs = xs.indices.count(i => xs(i).isDefined && outcome(i).isDefined)
+          val pairs = (0 until xs.length).count(i => xs.isDefined(i) && outcome.isDefined(i))
           if (pairs < minPairs) false
           else {
             val r = Stats.pearson(xs, outcome)
@@ -171,7 +169,7 @@ object Tasks {
   ) extends Task {
 
     def utility(table: LocalTable): Double = {
-      val y = table.numeric(targetCol).map(_.getOrElse(0.0))
+      val y = table.numeric(targetCol).orElse(0.0)
       val sensitive = table.numeric(sensitiveCol)
       val feats = featureColumns(table, excluded + targetCol + sensitiveCol).filter { c =>
         math.abs(Stats.pearson(table.numeric(c), sensitive)) <= maxSensitiveCorr
@@ -201,7 +199,7 @@ object Tasks {
       val feats = featureColumns(table, excluded)
       if (feats.isEmpty) return 0.0
       val radii = feats.map { c =>
-        val vals = table.numeric(c).flatten
+        val vals = table.numeric(c).parsedValues
         if (vals.length < nClusters) 1.0
         else {
           val lo = vals.min; val hi = vals.max

@@ -23,16 +23,29 @@ object Stats {
   /** Pearson correlation of the pairwise-complete entries of `xs` / `ys`.
     * Returns 0.0 when either side is (near-)constant or <3 pairs exist.
     */
-  def pearson(xs: Array[Option[Double]], ys: Array[Option[Double]]): Double = {
+  def pearson(xs: NumericColumn, ys: NumericColumn): Double = {
     val (x, y) = completePairs(xs, ys)
     pearsonComplete(x, y)
   }
 
+  /** [[pearson]] over already-parsed entries, `None` where missing. */
+  def pearson(xs: Array[Option[Double]], ys: Array[Option[Double]]): Double =
+    pearson(NumericColumn.fromOptions(xs), NumericColumn.fromOptions(ys))
+
   /** The entries of `xs` / `ys` where both are defined, in index order. */
-  private def completePairs(xs: Array[Option[Double]], ys: Array[Option[Double]]): (Array[Double], Array[Double]) = {
+  private def completePairs(xs: NumericColumn, ys: NumericColumn): (Array[Double], Array[Double]) = {
     require(xs.length == ys.length, s"length mismatch ${xs.length} vs ${ys.length}")
-    val pairs = xs.indices.collect { case i if xs(i).isDefined && ys(i).isDefined => (xs(i).get, ys(i).get) }
-    (pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+    var n = 0
+    var i = 0
+    while (i < xs.length) { if (xs.defined(i) && ys.defined(i)) n += 1; i += 1 }
+    val x = new Array[Double](n); val y = new Array[Double](n)
+    var j = 0
+    i = 0
+    while (i < xs.length) {
+      if (xs.defined(i) && ys.defined(i)) { x(j) = xs.values(i); y(j) = ys.values(i); j += 1 }
+      i += 1
+    }
+    (x, y)
   }
 
   /** Pearson correlation over fully-observed vectors. */
@@ -121,7 +134,7 @@ object Stats {
     */
   def normalizedMutualInformation(xs: Array[Option[Double]], ys: Array[Option[Double]], bins: Int = 8): Double = {
     require(bins >= 2, "need at least 2 bins")
-    val (x, y) = completePairs(xs, ys)
+    val (x, y) = completePairs(NumericColumn.fromOptions(xs), NumericColumn.fromOptions(ys))
     if (x.length < 4) return 0.0
     val bx = rankBins(x, bins)
     val by = rankBins(y, bins)

@@ -133,6 +133,21 @@ class AugmentSpec extends SparkSpec {
     assert(eng.localTable(Nil).columns == input.columns)
   }
 
+  test("localTable calls sharing a candidate hand back the same numeric view") {
+    val other = t("other", "key" -> Seq(Some("a"), Some("c")), "w" -> Seq(Some("5"), Some("7")))
+    val c2 = Candidate(1, Vector(JoinEdge("key", "other", "key")), "w")
+    val eng = engineWith(right, other)
+    val a = eng.localTable(Seq(cand))
+    val b = eng.localTable(Seq(cand, c2))
+    assert(a.numeric(cand.name) eq b.numeric(cand.name))
+    assert(a.numeric("target") eq b.numeric("target"))
+    assert(eng.numeric(cand) eq b.numeric(cand.name))
+    assert(b.numeric(cand.name).toSeq == Seq(Some(10.0), Some(20.0), None, None))
+    assert(b.numeric(c2.name).toSeq == Seq(Some(5.0), None, Some(7.0), None))
+    // Views live with their engine: another engine parses its own.
+    assert(engineWith(right).localTable(Seq(cand)).numeric(cand.name) ne a.numeric(cand.name))
+  }
+
   test("two-hop chain materialises through the bridge") {
     val bridge = t("bridge",
       "key" -> Seq(Some("a"), Some("b"), Some("c"), Some("d")),

@@ -108,6 +108,28 @@ class UtilitySpec extends SparkSpec {
     assert(res.utilityAt(0) == 0.0)
   }
 
+  test("a task returning NaN is recorded as 0 and keeps the best so far") {
+    val nanTask = new Task {
+      def name = "nan"
+      def utility(t: LocalTable): Double = {
+        val cols = t.columnNames.mkString(",")
+        if (cols.contains("__bad__")) Double.NaN else if (cols.contains("__good__")) 0.7 else 0.3
+      }
+    }
+    Seq(true, false).foreach { monotone =>
+      val u = new CountingUtility(new AugmentEngine(spark, input, lake), nanTask, 10, monotone)
+      u.baseUtility
+      u.query(Set(cGood))
+      assert(u.queryRaw(Set(cBad)) == 0.0)
+      u.query(Set(cMeh))
+      u.query(Set(cGood, cBad))
+      val us = u.curve.map(_._2)
+      assert(us.size == 5 && us.forall(v => !v.isNaN && v >= 0.0 && v <= 1.0), s"monotone=$monotone: $us")
+      assert(us.zip(us.drop(1)).forall { case (a, b) => b >= a }, s"monotone=$monotone: $us")
+      assert(u.bestUtility == 0.7)
+    }
+  }
+
   test("utilities are clamped to [0,1]") {
     val bigTask = new Task {
       def name = "big"

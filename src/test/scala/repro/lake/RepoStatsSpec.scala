@@ -1,6 +1,8 @@
 package repro.lake
 
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
 import repro.{Oracle, SparkSpec, SynthData}
 
@@ -76,6 +78,50 @@ class RepoStatsSpec extends SparkSpec {
     // domain reach 0.5.
     val loose = RepoStats.characteristics(spark, "partial", cells, minContainment = 0.01)
     assert(ch.nJoinablePairs > 0 && ch.nJoinablePairs < loose.nJoinablePairs)
+  }
+
+  test("characteristics of a repository with null cells match the DuckDB oracle") {
+    // An all-null key column in two tables, a null-heavy value column, and
+    // key columns with some null cells.
+    val n: String = null
+    val columns: Seq[(String, String, Seq[String])] = Seq(
+      ("tA", "col_0", Seq("k1", "k2", n, "k3")),
+      ("tA", "col_1", Seq(n, n, n, n)),
+      ("tA", "col_5", Seq(n, n, "x", n)),
+      ("tB", "col_0", Seq("k1", "k2", "k4", n)),
+      ("tB", "col_1", Seq("k1", n, "k2", n)),
+      ("tB", "col_3", Seq(n, n, n, "yy")),
+      ("tC", "col_0", Seq(n, n, n, n)),
+      ("tC", "col_2", Seq("k3", "k3", "k1", n)),
+      ("tC", "col_7", Seq("zz", n, n, n)),
+    )
+    val schema = StructType(Seq(
+      StructField("table", StringType, nullable = false),
+      StructField("col", StringType, nullable = false),
+      StructField("__rowid", LongType, nullable = false),
+      StructField("value", StringType, nullable = true),
+    ))
+    val rows = for ((t, c, vs) <- columns; (v, r) <- vs.zipWithIndex) yield Row(t, c, r.toLong, v)
+    val cells = spark.createDataFrame(spark.sparkContext.parallelize(rows, 3), schema)
+    val ch = RepoStats.characteristics(spark, "nulls", cells, minContainment = 0.5)
+    val sql =
+      """WITH dc AS (SELECT DISTINCT tbl, c, value FROM cells
+        |            WHERE value IS NOT NULL AND c IN ('col_0', 'col_1', 'col_2')),
+        |n AS (SELECT tbl, c, COUNT(*) AS n FROM dc GROUP BY tbl, c),
+        |o AS (SELECT l.tbl, l.c, COUNT(*) AS overlap FROM dc l
+        |      JOIN dc r ON l.value = r.value AND l.tbl <> r.tbl GROUP BY l.tbl, l.c, r.tbl, r.c)
+        |SELECT CAST((SELECT COUNT(DISTINCT tbl) FROM cells) AS VARCHAR) AS tables,
+        |       CAST((SELECT COUNT(*) FROM (SELECT DISTINCT tbl, c FROM cells)) AS VARCHAR) AS cols,
+        |       CAST((SELECT SUM(LENGTH(value) + LENGTH(c) + LENGTH(tbl) + 8) FROM cells) AS VARCHAR) AS bytes,
+        |       CAST((SELECT COUNT(*) FROM o JOIN n ON n.tbl = o.tbl AND n.c = o.c
+        |             WHERE CAST(o.overlap AS DOUBLE) / n.n >= 0.5) AS VARCHAR) AS pairs""".stripMargin
+    val got = Seq((ch.nTables.toString, ch.nColumns.toString, ch.sizeBytes.toString, ch.nJoinablePairs.toString))
+    Oracle.assertEquivalent(spark.createDataFrame(got).toDF("tables", "cols", "bytes", "pairs"), sql,
+      "cells" -> cells.select(col("table").as("tbl"), col("col").as("c"), col("value")))
+    // Driver reference: every non-null cell's bytes; the all-null key
+    // columns tA.col_1 and tC.col_0 join nothing.
+    val bytes = rows.collect { case Row(t: String, c: String, _, v: String) => v.length + c.length + t.length + 8 }.sum
+    assert(ch == RepoStats.Characteristics("nulls", 3, 9, 9, bytes.toLong))
   }
 
   test("openDataLite is larger than kaggleLite on every axis") {

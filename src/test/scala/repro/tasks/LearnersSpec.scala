@@ -2,19 +2,19 @@ package repro.tasks
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.util.Stats
+import repro.util.{NumericColumn, Stats}
 
 class LearnersSpec extends AnyFunSuite {
 
   private val rnd = new scala.util.Random(42)
 
   test("designMatrix imputes missing values with the column mean") {
-    val m = Learners.designMatrix(Vector(Array(Some(1.0), None, Some(3.0))))
+    val m = Learners.designMatrix(Vector(NumericColumn.fromOptions(Array(Some(1.0), None, Some(3.0)))))
     assert(m.map(_(0)).toSeq == Seq(1.0, 2.0, 3.0))
   }
 
   test("designMatrix of an all-missing column is zeros") {
-    val m = Learners.designMatrix(Vector(Array[Option[Double]](None, None)))
+    val m = Learners.designMatrix(Vector(NumericColumn.fromOptions(Array[Option[Double]](None, None))))
     assert(m.map(_(0)).toSeq == Seq(0.0, 0.0))
   }
 
