@@ -24,6 +24,7 @@ class TableIIBench extends SparkSpec {
       val row = TableIIJob.Methods.map(m => m -> run.results(m).utilityAt(Budget)).toMap
       println(f"[bench] ${s.spec.name}%-10s n=${run.candidates.size}%4d " +
         TableIIJob.Methods.map(m => f"$m=${row(m)}%.2f").mkString(" "))
+      println(f"[bench] ${s.spec.name}%-10s returned ${TableIIJob.returned(run.results)}")
       s.spec.name -> row
     }
     val secs = (System.nanoTime() - t0) / 1e9

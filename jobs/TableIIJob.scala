@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.Runner
+import repro.core.{Runner, SearchResult}
 import repro.lake.{Scenario, ScenarioGen, TaskKind}
 
 /** spark-submit entrypoint reproducing Table II (utility of METAM and the
@@ -31,11 +31,16 @@ object TableIIJob {
     case _ => 0.97
   }
 
-  def runAll(spark: SparkSession, budget: Int): Seq[(String, Map[String, Double])] =
-    ScenarioGen.tableII().map { s =>
-      val run = Runner.run(spark, s, thetaFor(s), budget, Methods)
-      s.spec.name -> Methods.map(m => m -> run.results(m).utilityAt(budget)).toMap
-    }
+  /** Each scenario's results, by method. */
+  def runAll(spark: SparkSession, budget: Int): Seq[(String, Map[String, SearchResult])] =
+    ScenarioGen.tableII().map(s => s.spec.name -> Runner.run(spark, s, thetaFor(s), budget, Methods).results)
+
+  /** What each method returned, as `method=utility/size`: its solution's
+    * utility and number of augmentations, which can fall short of the
+    * curve maximum [[render]] shows.
+    */
+  def returned(results: Map[String, SearchResult]): String =
+    Methods.map(m => f"$m=${results(m).utility}%.2f/${results(m).solution.size}").mkString(" ")
 
   def render(measured: Seq[(String, Map[String, Double])], budget: Int): String = {
     val sb = new StringBuilder
@@ -52,7 +57,10 @@ object TableIIJob {
   def main(args: Array[String]): Unit = {
     val budget = args.headOption.map(_.toInt).getOrElse(250)
     val spark = SparkSession.builder.appName("metam-table-ii").getOrCreate()
-    try println(render(runAll(spark, budget), budget))
-    finally spark.stop()
+    try {
+      val runs = runAll(spark, budget)
+      println(render(runs.map { case (name, rs) => name -> rs.view.mapValues(_.utilityAt(budget)).toMap }, budget))
+      runs.foreach { case (name, rs) => println(f"$name%-20s returned ${returned(rs)}") }
+    } finally spark.stop()
   }
 }

@@ -1,8 +1,5 @@
 package repro.lake
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
-
 import repro.util.NumericColumn
 
 /** Metadata describing a lake table — the substrate for the paper's
@@ -24,12 +21,11 @@ final case class TableMeta(
 
 /** A column-oriented table small enough to keep a driver-side copy.
   *
-  * The driver copy is the ground truth: augmentation joins and the
-  * deterministic task implementations read it directly, discovery reads
-  * its key columns' distinct values, and profiling sees it through the
-  * lake's tall cell view ([[Lake.valueCellsDf]]). Values are stored
-  * as strings so one representation serves numeric columns, join keys, and
-  * entity names.
+  * The driver copy is the ground truth: augmentation joins (and through
+  * them profiling's sample rows) and the deterministic task
+  * implementations read it directly, and discovery reads its key columns'
+  * distinct values. Values are stored as strings so one representation
+  * serves numeric columns, join keys, and entity names.
   */
 final case class LakeTable(
     meta: TableMeta,
@@ -75,27 +71,6 @@ final case class Lake(tables: Vector[LakeTable]) {
     */
   def keyColumns: Map[(String, String), Set[String]] =
     (for (t <- tables; kc <- t.meta.keyCols) yield (t.meta.name, kc) -> t.column(kc).iterator.flatten.toSet).toMap
-
-  /** Tall (table, valueCol, key, value) view pairing each non-key column
-    * with the table's first key column — the batched input for profiling
-    * all candidates in a constant number of Spark jobs.
-    */
-  def valueCellsDf(spark: SparkSession): DataFrame = {
-    val schema = StructType(Seq(
-      StructField("table", StringType, nullable = false),
-      StructField("valueCol", StringType, nullable = false),
-      StructField("key", StringType, nullable = true),
-      StructField("value", StringType, nullable = true),
-    ))
-    val rows = for {
-      t <- tables
-      keyCol = t.meta.keyCols.headOption.getOrElse(t.columnNames.head)
-      keys = t.column(keyCol)
-      (cn, vals) <- t.columns if !t.meta.keyCols.contains(cn)
-      i <- 0 until t.nRows
-    } yield Row(t.meta.name, cn, keys(i).orNull, vals(i).orNull)
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
-  }
 }
 
 /** Column-oriented local view of an (augmented) dataset — what the

@@ -34,8 +34,8 @@ object Profiler {
 
   val ProfileNames: Vector[String] = Vector("corr", "mi", "embed", "meta", "overlap")
 
-  private val SampleSize = 100
-  private val SampleSeed = 17L
+  private[repro] val SampleSize = 100
+  private[repro] val SampleSeed = 17L
   private val Bins = 8 // equi-rank MI bins per axis
 
   /** Deterministic sample of `n` row indices of the input (pseudo-shuffle
@@ -47,13 +47,13 @@ object Profiler {
 
   /** Compute the profile vector of every candidate.
     *
-    * Candidates the lake's tall cell view serves (`batchable`: 1-hop,
-    * joining through their table's first key column) are profiled in a
-    * constant number of Spark jobs over that view (join
-    * with the input sample → dedup → `corr`/count aggregation, plus an
-    * equi-rank binned histogram for MI). Remaining candidates are
-    * materialised through the engine and profiled in memory with the
-    * same estimators.
+    * Candidates that join through their table's first key column in one
+    * hop (`batchable`) are profiled in a constant number of Spark jobs:
+    * their sample rows, read from the engine's Γ columns (which this
+    * materialises ahead of `prefetch`), go to one `corr`/count
+    * aggregation and one equi-rank binned histogram for MI per input key
+    * column. Remaining candidates are profiled in memory from their Γ
+    * columns with the same estimators.
     */
   def profileAll(
       spark: SparkSession,
@@ -71,10 +71,12 @@ object Profiler {
     val fromBatch: Map[(String, String, String), (Double, Double, Double)] =
       if (batched.isEmpty) Map.empty
       else batched.groupBy(_.edges.head.leftCol).flatMap { case (leftCol, cs) =>
-        batchProfiles(spark, engine, cs, leftCol, targetCol, idx)
+        withSampleRows(spark, engine, cs, leftCol, target, idx)(sampleProfiles(_, idx.length))
           .map { case ((t, vc), v) => (leftCol, t, vc) -> v }
       }
 
+    val inputEmbedding = TokenEmbedding.embed(input.meta.vocabulary ++ input.columnNames)
+    val inputAttrTokens = attributeTokens(input.columnNames.toSet)
     val byId = cands.map { c =>
       val (corrV, miV, overlapV) =
         if (batchableIds.contains(c.id))
@@ -92,15 +94,9 @@ object Profiler {
             matched.toDouble / idx.length,
           )
         }
-      val tMeta = engine.lake.table(c.table).meta
-      val embedV = TokenEmbedding.similarity(
-        input.meta.vocabulary ++ input.columnNames,
-        tMeta.vocabulary ++ engine.lake.table(c.table).columnNames,
-      )
-      val metaV = metadataSimilarity(
-        input.columnNames.toSet, input.meta.source,
-        engine.lake.table(c.table).columnNames.toSet, tMeta.source,
-      )
+      val t = engine.lake.table(c.table)
+      val embedV = TokenEmbedding.similarity(inputEmbedding, TokenEmbedding.embed(t.meta.vocabulary ++ t.columnNames))
+      val metaV = tokenSimilarity(inputAttrTokens, input.meta.source, attributeTokens(t.columnNames.toSet), t.meta.source)
       c.id -> Array(
         Stats.clamp01(corrV), Stats.clamp01(miV), Stats.clamp01(embedV),
         Stats.clamp01(metaV), Stats.clamp01(overlapV),
@@ -110,60 +106,91 @@ object Profiler {
     Profiles(ProfileNames, byId)
   }
 
-  /** Whether the lake's tall cell view ([[repro.lake.Lake.valueCellsDf]]),
-    * which pairs value columns with each table's first key column, serves
-    * `c`: true for 1-hop candidates joining through that key.
+  /** Whether `c` is profiled from Spark-aggregated sample rows: true for
+    * 1-hop candidates joining through their table's first key column.
     */
-  private def batchable(lake: Lake, c: Candidate): Boolean =
+  private[repro] def batchable(lake: Lake, c: Candidate): Boolean =
     c.hops == 1 && lake.table(c.edges.head.rightTable).meta.keyCols.headOption.contains(c.edges.head.rightKeyCol)
 
   /** Attribute-name Jaccard blended with a source-equality indicator. */
-  def metadataSimilarity(aAttrs: Set[String], aSource: String, bAttrs: Set[String], bSource: String): Double = {
-    val tokensA = aAttrs.flatMap(_.toLowerCase.split("[_\\s]+"))
-    val tokensB = bAttrs.flatMap(_.toLowerCase.split("[_\\s]+"))
+  def metadataSimilarity(aAttrs: Set[String], aSource: String, bAttrs: Set[String], bSource: String): Double =
+    tokenSimilarity(attributeTokens(aAttrs), aSource, attributeTokens(bAttrs), bSource)
+
+  /** Lower-cased tokens of attribute names split at underscores and spaces. */
+  private def attributeTokens(attrs: Set[String]): Set[String] = attrs.flatMap(_.toLowerCase.split("[_\\s]+"))
+
+  /** [[metadataSimilarity]] of two attribute-token sets. */
+  private def tokenSimilarity(tokensA: Set[String], aSource: String, tokensB: Set[String], bSource: String): Double = {
     val jac =
       if (tokensA.isEmpty || tokensB.isEmpty) 0.0
       else tokensA.intersect(tokensB).size.toDouble / tokensA.union(tokensB).size
     0.5 * jac + 0.5 * (if (aSource == bSource) 1.0 else 0.0)
   }
 
-  /** One batched pass over all candidates sharing `leftCol`: returns
-    * (table, valueCol) → (|corr|, normalised MI, overlap fraction).
+  private val SampleRowSchema = StructType(Seq(
+    StructField("table", StringType, nullable = false),
+    StructField("valueCol", StringType, nullable = false),
+    StructField("skey", StringType, nullable = false),
+    StructField("target", DoubleType, nullable = false),
+    StructField("vs", StringType, nullable = false),
+  ))
+
+  /** The sample rows `(table, valueCol, skey, target, vs)` of the batchable
+    * candidates `cs` joining through the input's `leftCol`: per candidate,
+    * one row for each distinct (key, target) of the sampled input rows
+    * whose key, target and Γ value `vs` are all present. A target of −0.0
+    * becomes 0.0, as Spark normalises a grouping key.
+    *
+    * The rows are hash-partitioned on `skey` into
+    * `spark.sql.shuffle.partitions` partitions and sorted within each by
+    * (table, valueCol, skey, target): the partitions and order that
+    * joining the sample with the lake's cells on the key and taking each
+    * group's `min(value)` gave them, so [[sampleProfiles]] sums them in the
+    * same order as that join did and its profiles are bit-identical.
+    *
+    * `use` gets them as a DataFrame; the broadcast that carries them to the
+    * tasks is destroyed when it returns.
     */
-  private def batchProfiles(
+  private def withSampleRows[A](
       spark: SparkSession,
       engine: AugmentEngine,
       cs: Seq[Candidate],
       leftCol: String,
-      targetCol: String,
+      target: Array[Option[Double]],
       idx: Array[Int],
-  ): Map[(String, String), (Double, Double, Double)] = {
-    val input = engine.input
-    val keys = input.column(leftCol)
-    val target = input.numeric(targetCol)
-    val sampleSchema = StructType(Seq(
-      StructField("skey", StringType, nullable = true),
-      StructField("target", DoubleType, nullable = true),
-    ))
-    val sampleRows = idx.toSeq.map { i =>
-      Row(keys(i).orNull, target(i).map(Double.box).orNull)
+  )(use: DataFrame => A): A = {
+    val keys = engine.input.column(leftCol)
+    val rows = cs.flatMap { c =>
+      val gamma = engine.column(c)
+      idx.iterator
+        .flatMap(i => for (k <- keys(i); t <- target(i); v <- gamma(i)) yield (k, if (t == 0.0) 0.0 else t, v))
+        .distinctBy { case (k, t, _) => (k, java.lang.Double.doubleToLongBits(t)) }
+        .map { case (k, t, v) => Row(c.table, c.valueCol, k, t, v) }
     }
-    val sampleDf = spark.createDataFrame(spark.sparkContext.parallelize(sampleRows, 2), sampleSchema)
+    // The rows reach the tasks in one broadcast rather than in task
+    // payloads, so a few map tasks feed the shuffle (each writes one block
+    // per partition) without any of them carrying a large payload.
+    val sc = spark.sparkContext
+    val shared = sc.broadcast(rows.toArray)
+    val slices = sc.defaultParallelism
+    val scattered = sc.parallelize(0 until slices, slices)
+      .flatMap(s => Iterator.range(s, shared.value.length, slices).map(shared.value(_)))
+    val sorted = spark.createDataFrame(scattered, SampleRowSchema)
+      .repartition(spark.conf.get("spark.sql.shuffle.partitions").toInt, col("skey"))
+      .sortWithinPartitions("table", "valueCol", "skey", "target")
+    try use(sorted) finally shared.destroy()
+  }
 
-    val tables = cs.map(_.table).distinct
-    val cells = engine.lake.valueCellsDf(spark).where(col("table").isin(tables: _*))
-
-    // Dedup duplicate join keys exactly like AugmentEngine (min per key).
+  /** (table, valueCol) → (|corr|, normalised MI, overlap fraction) from
+    * sample rows `(table, valueCol, skey, target, vs)` of `sampleSize`
+    * sampled input rows, in two Spark jobs whose float sums follow the
+    * rows' partitions and order.
+    */
+  private[repro] def sampleProfiles(rows: DataFrame, sampleSize: Int): Map[(String, String), (Double, Double, Double)] = {
     // Overlap counts every joined (string) value; corr/MI use only the
     // numerically-parseable subset (try_cast — entity columns etc. stay
     // joinable but contribute no correlation signal).
-    val dedup = sampleDf
-      .join(cells, sampleDf("skey") === cells("key"))
-      .groupBy(col("table"), col("valueCol"), col("skey"), col("target"))
-      .agg(min(col("value")).as("vs"))
-      .where(col("vs").isNotNull && col("target").isNotNull)
-      .withColumn("v", expr("try_cast(vs AS DOUBLE)"))
-      .cache()
+    val dedup = rows.withColumn("v", expr("try_cast(vs AS DOUBLE)")).cache()
 
     // Correlation from sufficient statistics (computed distributedly, the
     // final ratio guarded on the driver) — Spark's `corr` divides by the
@@ -218,7 +245,7 @@ object Profiler {
       val miV =
         if (n < 4) 0.0
         else hists.get(k).map(h => Stats.miFromJointCounts(h, Bins) / math.log(Bins.toDouble)).getOrElse(0.0)
-      k -> ((corrV, miV, matchedKeys.toDouble / idx.length))
+      k -> ((corrV, miV, matchedKeys.toDouble / sampleSize))
     }.toMap
   }
 }

@@ -47,6 +47,8 @@ object TokenEmbedding {
   /** Cosine similarity of two token multisets, rescaled from [-1,1] to
     * [0,1] so it composes with the other (unit-interval) profiles.
     */
-  def similarity(a: Iterable[String], b: Iterable[String]): Double =
-    (LinAlg.cosine(embed(a), embed(b)) + 1.0) / 2.0
+  def similarity(a: Iterable[String], b: Iterable[String]): Double = similarity(embed(a), embed(b))
+
+  /** [[similarity]] of two embeddings, as [[embed]] returns them. */
+  def similarity(a: Array[Double], b: Array[Double]): Double = (LinAlg.cosine(a, b) + 1.0) / 2.0
 }

@@ -9,6 +9,29 @@ class ClusterPartitionSpec extends AnyFunSuite with PropSupport {
 
   private val vecGen: Gen[Array[Double]] = Gen.listOfN(3, Gen.choose(0.0, 1.0)).map(_.toArray)
 
+  /** The unpruned greedy k-center loop: every point is measured against
+    * every new center.
+    */
+  private def fullScanCover(vectors: Vector[Array[Double]], epsilon: Double, seed: Long): (Vector[Int], Vector[Int]) = {
+    val vs = vectors.toArray
+    val n = vs.length
+    val centers = scala.collection.mutable.ArrayBuffer(new scala.util.Random(seed).nextInt(n))
+    val assignment = Array.fill(n)(0)
+    val distToCenter = Array.tabulate(n)(i => ClusterPartition.distance(vs(i), vs(centers.head)))
+    def argmax: Int = distToCenter.indices.reduceLeft((b, i) => if (java.lang.Double.compare(distToCenter(i), distToCenter(b)) > 0) i else b)
+    var farthest = argmax
+    while (distToCenter(farthest) > epsilon) {
+      val center = vs(farthest)
+      centers += farthest
+      vs.indices.foreach { i =>
+        val d = ClusterPartition.distance(vs(i), center)
+        if (d < distToCenter(i)) { distToCenter(i) = d; assignment(i) = centers.length - 1 }
+      }
+      farthest = argmax
+    }
+    (centers.toVector, assignment.toVector)
+  }
+
   test("distance is L-infinity") {
     assert(ClusterPartition.distance(Array(0.0, 0.5), Array(0.3, 0.6)) == 0.3)
   }
@@ -122,5 +145,18 @@ class ClusterPartitionSpec extends AnyFunSuite with PropSupport {
           c.centers(k) == toCenters.indices.maxBy(toCenters)
         }
     })
+  }
+
+  test("the pruned cover picks the same centers and assignment as the full scan") {
+    val gridVec = Gen.listOfN(3, Gen.oneOf(0.0, 0.25, 0.5, 1.0)).map(_.toArray)
+    val vectors = Gen.oneOf(
+      Gen.listOfN(120, vecGen),
+      Gen.listOfN(120, Gen.oneOf(vecGen, gridVec)),
+      Gen.listOfN(30, vecGen).flatMap(base => Gen.listOfN(120, Gen.oneOf(base))),
+    )
+    checkProp(Prop.forAll(vectors, Gen.oneOf(0.01, 0.02, 0.05, 0.1, 0.2, 0.5), Gen.choose(0L, 1000L)) { (vs, eps, seed) =>
+      val c = ClusterPartition.cluster(vs.toVector, eps, seed)
+      (c.centers, c.assignment.toVector) == fullScanCover(vs.toVector, eps, seed)
+    }, tries = 200)
   }
 }

@@ -90,19 +90,6 @@ class LakeModelSpec extends SparkSpec {
     ))
   }
 
-  test("valueCellsDf pairs values with the table key") {
-    val lake = Lake(Vector(table("t1")))
-    val cells = lake.valueCellsDf(spark).orderBy("key").collect()
-    assert(cells.length == 3)
-    assert(cells.map(r => (r.getString(2), Option(r.getString(3)))).toSeq ==
-      Seq(("a", Some("1")), ("b", None), ("c", Some("3"))))
-  }
-
-  test("valueCellsDf excludes key columns from values") {
-    val lake = Lake(Vector(table("t1")))
-    assert(lake.valueCellsDf(spark).select("valueCol").distinct().collect().map(_.getString(0)).toSeq == Seq("v"))
-  }
-
   test("LocalTable add appends aligned column") {
     val lt = LocalTable(Vector("a" -> Array(Some("1"), Some("2"))))
     val lt2 = lt.add("b", Array(None, Some("x")))

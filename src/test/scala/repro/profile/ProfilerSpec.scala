@@ -1,8 +1,9 @@
 package repro.profile
 
-import repro.SparkSpec
+import repro.{SampleJoinReference, SparkSpec}
 import repro.core.{AugmentEngine, Candidate, JoinEdge}
-import repro.lake.{Lake, LakeTable, TableMeta}
+import repro.discovery.JoinDiscovery
+import repro.lake.{Lake, LakeTable, ScenarioGen, ScenarioSpec, TableMeta, TaskKind}
 import repro.util.Stats
 
 class ProfilerSpec extends SparkSpec {
@@ -121,6 +122,98 @@ class ProfilerSpec extends SparkSpec {
     assert(batched.of(c1)(mi) > 0.0)
     assert(math.abs(batched.of(c1)(mi) - fb.of(c1)(mi)) < 1e-12)
     assert(math.abs(batched.of(c1)(oi) - fb.of(c1)(oi)) < 1e-6)
+  }
+
+  /** Asserts that `profileAll`'s corr, MI and overlap of every batchable
+    * candidate equal those from the sample joined in Spark, bit for bit.
+    */
+  private def assertMatchesJoinReference(engine: AugmentEngine, cands: Vector[Candidate], targetCol: String): Unit = {
+    val prof = Profiler.profileAll(spark, engine, cands, targetCol)
+    val ref = SampleJoinReference.profiles(spark, engine, cands, targetCol)
+    assert(ref.nonEmpty && ref.values.exists(_._1 > 0.0) && ref.values.exists(_._2 > 0.0))
+    val at = Vector("corr", "mi", "overlap").map(prof.profileIndex)
+    ref.foreach { case (id, (corr, mi, overlap)) =>
+      val got = at.map(prof.byId(id)(_))
+      val want = Vector(corr, mi, overlap).map(Stats.clamp01)
+      assert(got.map(java.lang.Double.doubleToRawLongBits) == want.map(java.lang.Double.doubleToRawLongBits),
+        s"candidate $id: (corr, mi, overlap) $got, joined in Spark $want")
+    }
+  }
+
+  /** A random input and lake: input keys repeat (sample rows share keys,
+    * some with the same target), are null or match nothing; targets are
+    * null, non-numeric, ±0.0 or repeated; lake keys repeat, are null or
+    * foreign; values are null, non-numeric or tied; tables have one or
+    * two non-key columns and some a second key column.
+    */
+  private def randomLake(seed: Long): (AugmentEngine, Vector[Candidate]) = {
+    val rnd = new scala.util.Random(seed)
+    def maybe(pNone: Double)(cell: => String): Option[String] = if (rnd.nextDouble() < pNone) None else Some(cell)
+    def key(domain: Int, foreign: Double): String =
+      if (rnd.nextDouble() < foreign) s"z${rnd.nextInt(500)}" else s"k${rnd.nextInt(domain)}"
+    val rows = 160
+    val k1 = Array.fill(rows)(maybe(0.05)(key(30, 0.1)))
+    val k2 = Array.fill(rows)(maybe(0.05)(key(60, 0.1)))
+    val tgt = Array.fill(rows)(maybe(0.05)(rnd.nextInt(10) match {
+      case 0 => "-0.0"
+      case 1 => "0.0"
+      case 2 => "n/a"
+      case 3 => "1.5"
+      case _ => rnd.nextGaussian().toString
+    }))
+    (1 until rows by 7).foreach { i => k1(i) = k1(i - 1); k2(i) = k2(i - 1); tgt(i) = tgt(i - 1) }
+    val input = LakeTable(TableMeta("input", "src", Vector("k1", "k2"), Vector("in")),
+      Vector("k1" -> k1, "k2" -> k2, "target" -> tgt))
+    val tables = (0 until 8).map { t =>
+      val n = 40 + rnd.nextInt(120)
+      val twoKeys = t % 3 == 0
+      val keys = Array.fill(n)(maybe(0.05)(key(if (t % 2 == 0) 30 else 60, if (t == 7) 1.0 else 0.1)))
+      def values(): Array[Option[String]] = Array.fill(n)(maybe(0.1)(rnd.nextInt(8) match {
+        case 0 => s"x${rnd.nextInt(5)}"
+        case 1 => (rnd.nextInt(3) - 1).toString
+        case _ => (rnd.nextGaussian() * (t + 1)).toString
+      }))
+      val valueCols = Vector("v" -> values()) ++ (if (t % 2 == 1) Vector("w" -> values()) else Vector.empty)
+      val keyCols = Vector("key" -> keys) ++ (if (twoKeys) Vector("alt" -> Array.fill(n)(maybe(0.1)(key(60, 0.0))))
+                                             else Vector.empty)
+      LakeTable(TableMeta(s"t$t", "src", keyCols.map(_._1), Vector(s"tok$t")), keyCols ++ valueCols)
+    }.toVector
+    val lake = Lake(tables)
+    val cands = (for {
+      leftCol <- Vector("k1", "k2")
+      t <- tables
+      rightKey <- t.meta.keyCols
+      vc <- t.columnNames if !t.meta.keyCols.contains(vc)
+    } yield (JoinEdge(leftCol, t.meta.name, rightKey), vc)).zipWithIndex.map { case ((e, vc), i) =>
+      Candidate(i, Vector(e), vc)
+    }
+    (new AugmentEngine(spark, input, lake), cands)
+  }
+
+  test("corr, MI and overlap equal those of the sample joined in Spark, bit for bit, on random lakes") {
+    (1L to 3L).foreach { seed =>
+      val (engine, cands) = randomLake(seed)
+      assertMatchesJoinReference(engine, cands, "target")
+    }
+  }
+
+  test("corr, MI and overlap equal those of the sample joined in Spark, bit for bit, on a discovered scenario") {
+    val s = ScenarioGen.scenario(ScenarioSpec("mini", TaskKind.Causal, rows = 150, nSignals = 3, dupsPerPlanted = 1,
+      nIrrelevant = 20, nIrrelevantDups = 8, nTopicIrrelevant = 6, nErroneous = 15, seed = 5))
+    val cands = JoinDiscovery.candidatesFor(spark, s.input, s.lake, 0.03, 1)
+    assertMatchesJoinReference(new AugmentEngine(spark, s.input, s.lake), cands, s.profileTargetCol)
+  }
+
+  test("profiles do not change when AQE may coalesce the partitions of cached plans") {
+    val (engine, cands) = randomLake(4)
+    val key = "spark.sql.optimizer.canChangeCachedPlanOutputPartitioning"
+    val before = spark.conf.getOption(key)
+    def bits: Map[Int, Seq[Long]] =
+      Profiler.profileAll(spark, engine, cands, "target").byId.view.mapValues(_.toSeq.map(java.lang.Double.doubleToRawLongBits)).toMap
+    val pinned = bits
+    spark.conf.set(key, "true")
+    try assert(bits == pinned)
+    finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
   }
 
   test("sampleIndices is deterministic, sorted and bounded") {
