@@ -1,7 +1,8 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{ProfileDigest, SparkSpec}
 import repro.core.{Runner, SearchResult}
+import repro.core.Runner.ScenarioRun
 import repro.lake.{Scenario, ScenarioGen, ScenarioSpec, TaskKind}
 
 /** Reproduces the §VI-A-4 generalization experiments reported in the text
@@ -14,6 +15,9 @@ class GeneralizationBench extends SparkSpec {
   private def queriesTo(r: SearchResult, theta: Double): String =
     r.queriesTo(theta).map(_.toString).getOrElse(">" + r.queriesUsed)
 
+  private def printDigest(run: ScenarioRun): Unit =
+    println(s"[bench] ${run.scenario.spec.name} profiles sha256=${ProfileDigest.sha256(run.profiles)}")
+
   test("entity linking: METAM finds the disambiguating augmentation in few queries") {
     val s = ScenarioGen.entityLinking()
     val theta = 0.95
@@ -21,6 +25,7 @@ class GeneralizationBench extends SparkSpec {
     val m = run.results("METAM")
     println(s"[bench] entity-linking n=${run.candidates.size} " +
       Runner.DefaultMethods.map(x => s"$x=${queriesTo(run.results(x), theta)}q").mkString(" "))
+    printDigest(run)
     // Paper: METAM 4 queries, MW 10, others > 40.
     assert(m.utility >= theta)
     val mQ = m.queriesTo(theta).get
@@ -40,6 +45,7 @@ class GeneralizationBench extends SparkSpec {
     val m = run.results("METAM")
     println(s"[bench] fair-credit n=${run.candidates.size} " +
       Runner.DefaultMethods.map(x => f"$x=${run.results(x).utilityAt(50)}%.2f").mkString(" "))
+    printDigest(run)
     // Paper: METAM reaches the target in few queries; single-profile
     // ranking baselines fail within 50 because the correlation ranking is
     // dominated by unfair (discarded) candidates.
@@ -54,6 +60,7 @@ class GeneralizationBench extends SparkSpec {
     val run = Runner.run(spark, s, theta, budget = 20)
     println(s"[bench] clustering n=${run.candidates.size} " +
       Runner.DefaultMethods.map(x => s"$x=${queriesTo(run.results(x), theta)}q").mkString(" "))
+    printDigest(run)
     // Paper: ~4 queries for every technique on 8 candidates.
     run.results.values.foreach { r =>
       assert(r.utility >= theta, s"${r.method} got ${r.utility}")
@@ -73,6 +80,7 @@ class GeneralizationBench extends SparkSpec {
       m -> runs.map(_.results(m).utilityAt(budget)).sum / runs.size
     }.toMap
     println("[bench] semi-synthetic avg: " + Runner.DefaultMethods.map(m => f"$m=${avg(m)}%.2f").mkString(" "))
+    runs.foreach(printDigest)
     assert(avg("METAM") >= avg.values.max - 1e-9)
     assert(avg("METAM") > avg("Uniform"), "METAM should beat uniform sampling on average")
   }

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{ProfileDigest, SparkSpec}
 import repro.core.Runner
 import repro.jobs.TableIIJob
 import repro.lake.ScenarioGen
@@ -25,6 +25,7 @@ class TableIIBench extends SparkSpec {
       println(f"[bench] ${s.spec.name}%-10s n=${run.candidates.size}%4d " +
         TableIIJob.Methods.map(m => f"$m=${row(m)}%.2f").mkString(" "))
       println(f"[bench] ${s.spec.name}%-10s returned ${TableIIJob.returned(run.results)}")
+      println(s"[bench] ${s.spec.name} profiles sha256=${ProfileDigest.sha256(run.profiles)}")
       s.spec.name -> row
     }
     val secs = (System.nanoTime() - t0) / 1e9

@@ -13,7 +13,7 @@ object MetamDemoJob {
 
   def main(args: Array[String]): Unit = {
     val budget = args.headOption.map(_.toInt).getOrElse(300)
-    val spark = SparkSession.builder.appName("metam-demo").getOrCreate()
+    val spark = SparkSession.builder().appName("metam-demo").getOrCreate()
     try {
       val scenario = ScenarioGen.scenario(
         ScenarioSpec("demo", TaskKind.Causal, rows = 400, nSignals = 3, nIrrelevant = 60,

@@ -56,7 +56,7 @@ object TableIIJob {
 
   def main(args: Array[String]): Unit = {
     val budget = args.headOption.map(_.toInt).getOrElse(250)
-    val spark = SparkSession.builder.appName("metam-table-ii").getOrCreate()
+    val spark = SparkSession.builder().appName("metam-table-ii").getOrCreate()
     try {
       val runs = runAll(spark, budget)
       println(render(runs.map { case (name, rs) => name -> rs.view.mapValues(_.utilityAt(budget)).toMap }, budget))

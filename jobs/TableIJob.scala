@@ -33,7 +33,7 @@ object TableIJob {
   )
 
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("metam-table-i").getOrCreate()
+    val spark = SparkSession.builder().appName("metam-table-i").getOrCreate()
     try println(render(compute(spark)))
     finally spark.stop()
   }

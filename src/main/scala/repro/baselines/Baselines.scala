@@ -60,16 +60,16 @@ object Baselines {
   /** Randomized multiplicative-weights over profile "experts" (§III-A):
     * each step samples an expert proportionally to its weight, queries the
     * expert's best-ranked unqueried candidate, and multiplies the expert's
-    * weight up on success / down on failure.
+    * weight by 1.3 on success and by 0.7 on failure.
     */
   def multiplicativeWeights(
       cands: Vector[Candidate],
       profiles: Profiles,
       util: CountingUtility,
       theta: Double,
-      eta: Double = 0.3,
       seed: Long = 97,
   ): SearchResult = {
+    val eta = 0.3
     val l = profiles.dim
     val weights = Array.fill(l)(1.0)
     val rnd = new Random(seed)

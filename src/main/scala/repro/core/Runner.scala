@@ -8,10 +8,11 @@ import repro.lake.Scenario
 import repro.profile.{Profiler, Profiles}
 
 /** End-to-end orchestration of one scenario: discovery (a driver-side
-  * containment index) → profiling (Spark aggregations over sample rows read
-  * from the Γ columns, which it materialises with driver-side joins, so the
-  * Γ prefetch after it finds every column in the memo) → run METAM and the
-  * baselines under a shared query budget. The
+  * containment index) → profiling (one estimator for every candidate:
+  * Spark aggregations over sample rows read and parsed from the Γ columns,
+  * which it materialises with driver-side joins, so the Γ prefetch after it
+  * finds every column in the memo) → run METAM and the baselines under a
+  * shared query budget. The
   * augment engine (and its memoised Γ materialisations) is shared across
   * methods — a query's *count* is per-method, its join is paid once,
   * exactly as one server-side cache would serve all competitors.

@@ -23,12 +23,6 @@ object TaskKind {
   * @param nTopicIrrelevant  irrelevant tables sharing D_in's topic vocabulary
   *                          (confound the semantic profile)
   * @param nErroneous        spurious join paths (wrong keys; mostly-null joins)
-  * @param plantedCoverage   fraction of D_in keys covered by planted tables
-  *                          (slightly below the irrelevant tables' full
-  *                          coverage, so overlap ranking is misled)
-  * @param erroneousOverlap  fraction of an erroneous table's keys that
-  *                          accidentally match D_in (lets approximate
-  *                          discovery admit it)
   */
 final case class ScenarioSpec(
     name: String,
@@ -40,11 +34,7 @@ final case class ScenarioSpec(
     nIrrelevantDups: Int = 40,
     nTopicIrrelevant: Int = 15,
     nErroneous: Int = 60,
-    plantedCoverage: Double = 0.85,
-    erroneousOverlap: Double = 0.08,
     targetNoise: Double = 0.4,
-    plantedNoise: Double = 0.1,
-    dupNoise: Double = 0.15,
     seed: Long = 1234,
 ) {
   def totalCandidates: Int =
@@ -75,6 +65,20 @@ final case class Scenario(
 object ScenarioGen {
 
   private val Sources = Vector("portal_nyc", "portal_chi", "portal_kaggle")
+
+  /** Fraction of D_in keys covered by planted tables (slightly below the
+    * irrelevant tables' full coverage, so overlap ranking is misled).
+    */
+  private[repro] val PlantedCoverage = 0.85
+
+  /** Fraction of an erroneous table's keys that accidentally match D_in
+    * (lets approximate discovery admit it).
+    */
+  private val ErroneousOverlap = 0.08
+
+  /** Noise added to a planted table's signal, and to a duplicate's copy. */
+  private val PlantedNoise = 0.1
+  private val DupNoise = 0.15
 
   private def gaussians(rnd: Random, n: Int): Array[Double] = Array.fill(n)(rnd.nextGaussian())
 
@@ -127,23 +131,23 @@ object ScenarioGen {
 
     // Planted informative tables + near-duplicates (carry the same signal).
     for (i <- 0 until k) {
-      val cov = covered(spec.plantedCoverage, rnd)
+      val cov = covered(PlantedCoverage, rnd)
       val name = f"${spec.name}%s_sig$i%02d"
       tables += numericTable(
         name, Sources(i % Sources.length),
         topic.take(3) ++ Vector(s"${spec.name}_sig$i", "stats"),
         f"feat$i%02d",
-        cov.map(keys), cov.map(r => signals(i)(r) + spec.plantedNoise * rnd.nextGaussian()),
+        cov.map(keys), cov.map(r => signals(i)(r) + PlantedNoise * rnd.nextGaussian()),
       )
       tableSignal += name -> i
       for (d <- 0 until spec.dupsPerPlanted) {
-        val cov2 = covered(spec.plantedCoverage, rnd)
+        val cov2 = covered(PlantedCoverage, rnd)
         val dn = f"${spec.name}%s_sig$i%02d_dup$d"
         tables += numericTable(
           dn, Sources((i + d) % Sources.length),
           topic.take(3) ++ Vector(s"${spec.name}_sig$i", "stats"),
           f"feat$i%02d",
-          cov2.map(keys), cov2.map(r => signals(i)(r) + spec.dupNoise * rnd.nextGaussian()),
+          cov2.map(keys), cov2.map(r => signals(i)(r) + DupNoise * rnd.nextGaussian()),
         )
         tableSignal += dn -> i
       }
@@ -175,14 +179,14 @@ object ScenarioGen {
       tables += numericTable(
         f"${spec.name}%s_irr$j%03d_dup$d", Sources(rnd.nextInt(Sources.length)),
         Vector.fill(4)(s"rand${rnd.nextInt(100000)}"),
-        f"metric$j%03d", keys, irrValues(j).map(_ + spec.dupNoise * rnd.nextGaussian()),
+        f"metric$j%03d", keys, irrValues(j).map(_ + DupNoise * rnd.nextGaussian()),
       )
     }
 
     // Erroneous join paths: keys mostly outside D_in's domain.
     for (j <- 0 until spec.nErroneous) {
       val errKeys = Array.tabulate(n) { r =>
-        if (rnd.nextDouble() < spec.erroneousOverlap) keys(rnd.nextInt(n)) else f"X${j}%03d_$r%05d"
+        if (rnd.nextDouble() < ErroneousOverlap) keys(rnd.nextInt(n)) else f"X${j}%03d_$r%05d"
       }
       tables += numericTable(
         f"${spec.name}%s_err$j%03d", Sources(rnd.nextInt(Sources.length)),

@@ -4,11 +4,11 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructType}
+import scala.collection.mutable
 import scala.util.hashing.MurmurHash3
 
 import repro.core.{AugmentEngine, Candidate}
-import repro.lake.Lake
-import repro.util.Stats
+import repro.util.{NumericColumn, Stats}
 
 /** The vector of data profiles of every candidate augmentation (§II-C).
   *
@@ -21,7 +21,8 @@ import repro.util.Stats
   *               (hashed-token embedding cosine; BERT substitute)
   *   - `meta`    metadata similarity: attribute-name Jaccard and source
   *               match (the paper's syntactic Ver/S4-style profile)
-  *   - `overlap` fraction of sampled `D_in` keys with a join match — the
+  *   - `overlap` distinct keys of the sampled `D_in` rows that have a
+  *               target and a join match, over the sample size — the
   *               cardinality-after-augmentation profile
   */
 final case class Profiles(names: Vector[String], byId: Map[Int, Array[Double]]) {
@@ -47,13 +48,15 @@ object Profiler {
 
   /** Compute the profile vector of every candidate.
     *
-    * Candidates that join through their table's first key column in one
-    * hop (`batchable`) are profiled in a constant number of Spark jobs:
-    * their sample rows, read from the engine's Γ columns (which this
-    * materialises ahead of `prefetch`), go to one `corr`/count
-    * aggregation and one equi-rank binned histogram for MI per input key
-    * column. Remaining candidates are profiled in memory from their Γ
-    * columns with the same estimators.
+    * Corr, MI and overlap come from one estimator, whatever the candidate's
+    * join path: its sample rows, read from the engine's Γ columns (which
+    * this materialises ahead of `prefetch`) and parsed by
+    * [[NumericColumn.parse]], go to one `corr`/count aggregation
+    * and one equi-rank binned histogram for MI. Candidates are batched by
+    * input key column and occurrence number (how many earlier candidates
+    * share that key column, table and value column), so no batch sums two
+    * candidates under one (table, valueCol) group and each candidate's
+    * profiles depend only on its Γ column.
     */
   def profileAll(
       spark: SparkSession,
@@ -65,35 +68,22 @@ object Profiler {
     val idx = sampleIndices(input.nRows, SampleSize, SampleSeed)
     val target = input.numeric(targetCol)
 
-    val batched = cands.filter(batchable(engine.lake, _))
-    val batchableIds = batched.map(_.id).toSet
-
-    val fromBatch: Map[(String, String, String), (Double, Double, Double)] =
-      if (batched.isEmpty) Map.empty
-      else batched.groupBy(_.edges.head.leftCol).flatMap { case (leftCol, cs) =>
-        withSampleRows(spark, engine, cs, leftCol, target, idx)(sampleProfiles(_, idx.length))
-          .map { case ((t, vc), v) => (leftCol, t, vc) -> v }
-      }
+    val seen = mutable.HashMap.empty[(String, String, String), Int]
+    val batches = cands.groupBy { c =>
+      val column = (c.edges.head.leftCol, c.table, c.valueCol)
+      val occurrence = seen.getOrElse(column, 0)
+      seen(column) = occurrence + 1
+      (column._1, occurrence)
+    }
+    val fromSample: Map[Int, (Double, Double, Double)] = batches.flatMap { case ((leftCol, _), cs) =>
+      val byColumn = withSampleRows(spark, engine, cs, leftCol, target, idx)(sampleProfiles(_, idx.length))
+      cs.map(c => c.id -> byColumn.getOrElse((c.table, c.valueCol), (0.0, 0.0, 0.0)))
+    }
 
     val inputEmbedding = TokenEmbedding.embed(input.meta.vocabulary ++ input.columnNames)
     val inputAttrTokens = attributeTokens(input.columnNames.toSet)
     val byId = cands.map { c =>
-      val (corrV, miV, overlapV) =
-        if (batchableIds.contains(c.id))
-          fromBatch.getOrElse((c.edges.head.leftCol, c.table, c.valueCol), (0.0, 0.0, 0.0))
-        else {
-          val colVals = engine.column(c)
-          val parsed = engine.numeric(c)
-          val xs = idx.map(parsed(_))
-          val ys = idx.map(i => target(i))
-          // Overlap counts joined values even when not numeric.
-          val matched = idx.count(i => colVals(i).isDefined)
-          (
-            math.abs(Stats.pearson(xs, ys)),
-            Stats.normalizedMutualInformation(xs, ys, Bins),
-            matched.toDouble / idx.length,
-          )
-        }
+      val (corrV, miV, overlapV) = fromSample(c.id)
       val t = engine.lake.table(c.table)
       val embedV = TokenEmbedding.similarity(inputEmbedding, TokenEmbedding.embed(t.meta.vocabulary ++ t.columnNames))
       val metaV = tokenSimilarity(inputAttrTokens, input.meta.source, attributeTokens(t.columnNames.toSet), t.meta.source)
@@ -105,12 +95,6 @@ object Profiler {
 
     Profiles(ProfileNames, byId)
   }
-
-  /** Whether `c` is profiled from Spark-aggregated sample rows: true for
-    * 1-hop candidates joining through their table's first key column.
-    */
-  private[repro] def batchable(lake: Lake, c: Candidate): Boolean =
-    c.hops == 1 && lake.table(c.edges.head.rightTable).meta.keyCols.headOption.contains(c.edges.head.rightKeyCol)
 
   /** Attribute-name Jaccard blended with a source-equality indicator. */
   def metadataSimilarity(aAttrs: Set[String], aSource: String, bAttrs: Set[String], bSource: String): Double =
@@ -132,14 +116,18 @@ object Profiler {
     StructField("valueCol", StringType, nullable = false),
     StructField("skey", StringType, nullable = false),
     StructField("target", DoubleType, nullable = false),
-    StructField("vs", StringType, nullable = false),
+    StructField("v", DoubleType, nullable = true),
   ))
 
-  /** The sample rows `(table, valueCol, skey, target, vs)` of the batchable
-    * candidates `cs` joining through the input's `leftCol`: per candidate,
-    * one row for each distinct (key, target) of the sampled input rows
-    * whose key, target and Γ value `vs` are all present. A target of −0.0
-    * becomes 0.0, as Spark normalises a grouping key.
+  /** The sample rows `(table, valueCol, skey, target, v)` of the
+    * candidates `cs` joining through the input's `leftCol`, no two of which
+    * share a (table, valueCol): per candidate, one row for each distinct
+    * (key, target) of the sampled input rows whose key, target and Γ value
+    * are all present, with `v` the Γ value parsed by
+    * [[NumericColumn.parse]] (null where it is not a number). A target of
+    * −0.0 becomes 0.0, as Spark normalises a grouping key. Only the sampled
+    * cells are parsed: a numeric view of the whole column would stay in the
+    * engine's memo for candidates the search never queries.
     *
     * The rows are hash-partitioned on `skey` into
     * `spark.sql.shuffle.partitions` partitions and sorted within each by
@@ -163,9 +151,9 @@ object Profiler {
     val rows = cs.flatMap { c =>
       val gamma = engine.column(c)
       idx.iterator
-        .flatMap(i => for (k <- keys(i); t <- target(i); v <- gamma(i)) yield (k, if (t == 0.0) 0.0 else t, v))
+        .flatMap(i => for (k <- keys(i); t <- target(i); g <- gamma(i)) yield (k, if (t == 0.0) 0.0 else t, g))
         .distinctBy { case (k, t, _) => (k, java.lang.Double.doubleToLongBits(t)) }
-        .map { case (k, t, v) => Row(c.table, c.valueCol, k, t, v) }
+        .map { case (k, t, g) => Row(c.table, c.valueCol, k, t, NumericColumn.parse(Some(g)).map(Double.box).orNull) }
     }
     // The rows reach the tasks in one broadcast rather than in task
     // payloads, so a few map tasks feed the shuffle (each writes one block
@@ -182,15 +170,15 @@ object Profiler {
   }
 
   /** (table, valueCol) → (|corr|, normalised MI, overlap fraction) from
-    * sample rows `(table, valueCol, skey, target, vs)` of `sampleSize`
+    * sample rows `(table, valueCol, skey, target, v)` of `sampleSize`
     * sampled input rows, in two Spark jobs whose float sums follow the
     * rows' partitions and order.
     */
   private[repro] def sampleProfiles(rows: DataFrame, sampleSize: Int): Map[(String, String), (Double, Double, Double)] = {
-    // Overlap counts every joined (string) value; corr/MI use only the
-    // numerically-parseable subset (try_cast — entity columns etc. stay
-    // joinable but contribute no correlation signal).
-    val dedup = rows.withColumn("v", expr("try_cast(vs AS DOUBLE)")).cache()
+    // Overlap counts every row, as each carries a Γ value; corr/MI use only
+    // the rows whose value is a number (entity columns etc. stay joinable
+    // but contribute no correlation signal).
+    val dedup = rows.cache()
 
     // Correlation from sufficient statistics (computed distributedly, the
     // final ratio guarded on the driver) — Spark's `corr` divides by the

@@ -58,24 +58,24 @@ object Learners {
     }
   }
 
-  final case class ForestConfig(
-      nTrees: Int = 12,
-      maxDepth: Int = 3,
-      minLeaf: Int = 5,
-      featureFrac: Double = 0.7,
-      seed: Long = 11,
-  )
+  private val NTrees = 12
+  private val MaxDepth = 3
+  private val MinLeaf = 5
+  private val FeatureFrac = 0.7 // share of the features each tree may split on
 
-  def trainForest(x: Array[Array[Double]], y: Array[Double], cfg: ForestConfig = ForestConfig()): Forest = {
+  /** A forest of [[NTrees]] trees, each grown on a bootstrap sample of the
+    * rows drawn with `seed`.
+    */
+  def trainForest(x: Array[Array[Double]], y: Array[Double], seed: Long): Forest = {
     require(x.length == y.length && x.nonEmpty, "empty or mismatched training data")
     val nFeat = x.head.length
-    val trees = (0 until cfg.nTrees).map { t =>
-      val rnd = new Random(cfg.seed * 1013904223L + t)
+    val trees = (0 until NTrees).map { t =>
+      val rnd = new Random(seed * 1013904223L + t)
       val rows = Array.fill(x.length)(rnd.nextInt(x.length))
       val feats = rnd
         .shuffle((0 until nFeat).toVector)
-        .take(math.max(1, math.ceil(nFeat * cfg.featureFrac).toInt))
-      grow(x, y, rows, feats, cfg, depth = 0, rnd)
+        .take(math.max(1, math.ceil(nFeat * FeatureFrac).toInt))
+      grow(x, y, rows, feats, depth = 0, rnd)
     }.toVector
     Forest(trees)
   }
@@ -83,11 +83,11 @@ object Learners {
   private def grow(
       x: Array[Array[Double]], y: Array[Double],
       rows: Array[Int], feats: Vector[Int],
-      cfg: ForestConfig, depth: Int, rnd: Random,
+      depth: Int, rnd: Random,
   ): Node = {
     val ys = rows.map(y)
     val meanY = Stats.mean(ys)
-    if (depth >= cfg.maxDepth || rows.length < 2 * cfg.minLeaf || Stats.std(ys) < 1e-9)
+    if (depth >= MaxDepth || rows.length < 2 * MinLeaf || Stats.std(ys) < 1e-9)
       return Leaf(meanY)
 
     // Best split over quartile thresholds of each candidate feature.
@@ -98,7 +98,7 @@ object Learners {
       val thresholds = Vector(0.25, 0.5, 0.75).map(q => vals(math.min(vals.length - 1, (q * vals.length).toInt))).distinct
       thresholds.foreach { thr =>
         val (l, r) = rows.partition(i => x(i)(f) <= thr)
-        if (l.length >= cfg.minLeaf && r.length >= cfg.minLeaf) {
+        if (l.length >= MinLeaf && r.length >= MinLeaf) {
           val ml = Stats.mean(l.map(y)); val mr = Stats.mean(r.map(y))
           val sse = l.map(i => (y(i) - ml) * (y(i) - ml)).sum + r.map(i => (y(i) - mr) * (y(i) - mr)).sum
           val gain = parentSse - sse
@@ -110,7 +110,7 @@ object Learners {
       case None => Leaf(meanY)
       case Some((f, thr, _)) =>
         val (l, r) = rows.partition(i => x(i)(f) <= thr)
-        Split(f, thr, grow(x, y, l, feats, cfg, depth + 1, rnd), grow(x, y, r, feats, cfg, depth + 1, rnd))
+        Split(f, thr, grow(x, y, l, feats, depth + 1, rnd), grow(x, y, r, feats, depth + 1, rnd))
     }
   }
 }

@@ -9,6 +9,9 @@ import repro.util.Stats
   */
 object Tasks {
 
+  /** Share of the rows the predictive tasks hold out for validation. */
+  private val ValidFrac = 0.35
+
   /** Columns usable as numeric features: ≥3 parsed values and ≥90% of the
     * non-null entries parse as doubles (join keys and entity names drop
     * out naturally).
@@ -21,15 +24,12 @@ object Tasks {
 
   /** Supervised classification (paper: random-forest price / schools
     * tasks). Trains a forest on a deterministic split and returns the
-    * validation metric (F1 by default) as utility.
+    * validation F1 as utility.
     */
   final case class ClassificationTask(
       name: String,
       targetCol: String,
       excluded: Set[String],
-      useAccuracy: Boolean = false,
-      validFrac: Double = 0.35,
-      seed: Long = 23,
   ) extends Task {
 
     def utility(table: LocalTable): Double = {
@@ -37,11 +37,10 @@ object Tasks {
       val feats = featureColumns(table, excluded + targetCol)
       if (feats.isEmpty) return 0.0
       val x = Learners.designMatrix(feats.map(table.numeric))
-      val (train, valid) = Learners.split(y.length, validFrac, seed)
-      val forest = Learners.trainForest(train.map(x), train.map(y), Learners.ForestConfig(seed = seed))
-      val pred = valid.map(i => forest.predictRow(x(i)))
-      val actual = valid.map(y)
-      Stats.clamp01(if (useAccuracy) Stats.accuracy(pred, actual) else Stats.f1(pred, actual))
+      val seed = 23L
+      val (train, valid) = Learners.split(y.length, ValidFrac, seed)
+      val forest = Learners.trainForest(train.map(x), train.map(y), seed)
+      Stats.clamp01(Stats.f1(valid.map(i => forest.predictRow(x(i))), valid.map(y)))
     }
   }
 
@@ -53,8 +52,6 @@ object Tasks {
       name: String,
       targetCol: String,
       excluded: Set[String],
-      validFrac: Double = 0.35,
-      seed: Long = 29,
   ) extends Task {
 
     def utility(table: LocalTable): Double = {
@@ -62,8 +59,9 @@ object Tasks {
       val feats = featureColumns(table, excluded + targetCol)
       if (feats.isEmpty) return 0.0
       val x = Learners.designMatrix(feats.map(table.numeric))
-      val (train, valid) = Learners.split(y.length, validFrac, seed)
-      val forest = Learners.trainForest(train.map(x), train.map(y), Learners.ForestConfig(seed = seed))
+      val seed = 29L
+      val (train, valid) = Learners.split(y.length, ValidFrac, seed)
+      val forest = Learners.trainForest(train.map(x), train.map(y), seed)
       val pred = valid.map(i => forest.predictRow(x(i)))
       Stats.clamp01(1.0 - Stats.mae(pred, valid.map(y)))
     }
@@ -71,8 +69,8 @@ object Tasks {
 
   /** Causal what-if / how-to analysis (paper §VI-A): the task runs a
     * dependence-discovery pass — every attribute with a statistically
-    * significant association to the outcome (Fisher-z p < `pThreshold` and
-    * |r| ≥ `rMin` over ≥ `minPairs` joined rows) is "identified" — and
+    * significant association to the outcome (Fisher-z p < 0.05 and
+    * |r| ≥ 0.2 over ≥ 30 joined rows) is "identified" — and
     * utility is the fraction of the `k` ground-truth causal signals
     * covered by an identified attribute. `signalOf` maps an attribute name
     * to the planted causal signal it carries, if any (the ground truth a
@@ -84,9 +82,6 @@ object Tasks {
       excluded: Set[String],
       signalOf: String => Option[Int],
       k: Int,
-      pThreshold: Double = 0.05,
-      rMin: Double = 0.2,
-      minPairs: Int = 30,
   ) extends Task {
     require(k > 0, "k must be positive")
 
@@ -97,10 +92,10 @@ object Tasks {
         .filter { c =>
           val xs = table.numeric(c)
           val pairs = (0 until xs.length).count(i => xs.isDefined(i) && outcome.isDefined(i))
-          if (pairs < minPairs) false
+          if (pairs < 30) false
           else {
             val r = Stats.pearson(xs, outcome)
-            math.abs(r) >= rMin && Stats.fisherPValue(r, pairs) < pThreshold
+            math.abs(r) >= 0.2 && Stats.fisherPValue(r, pairs) < 0.05
           }
         }
       val signals = identified.flatMap(c => signalOf(c)).toSet
@@ -153,7 +148,7 @@ object Tasks {
   }
 
   /** Fairness-aware classification (paper §VI-A-4, German-credit style):
-    * features strongly correlated with the sensitive attribute are
+    * features correlated with the sensitive attribute (|r| > 0.45) are
     * discarded (fair feature selection), a forest is trained on the rest,
     * and utility is validation F1 — so unfair-but-predictive augmentations
     * do not help, only fair ones do.
@@ -163,21 +158,19 @@ object Tasks {
       targetCol: String,
       sensitiveCol: String,
       excluded: Set[String],
-      maxSensitiveCorr: Double = 0.45,
-      validFrac: Double = 0.35,
-      seed: Long = 31,
   ) extends Task {
 
     def utility(table: LocalTable): Double = {
       val y = table.numeric(targetCol).orElse(0.0)
       val sensitive = table.numeric(sensitiveCol)
       val feats = featureColumns(table, excluded + targetCol + sensitiveCol).filter { c =>
-        math.abs(Stats.pearson(table.numeric(c), sensitive)) <= maxSensitiveCorr
+        math.abs(Stats.pearson(table.numeric(c), sensitive)) <= 0.45
       }
       if (feats.isEmpty) return 0.0
       val x = Learners.designMatrix(feats.map(table.numeric))
-      val (train, valid) = Learners.split(y.length, validFrac, seed)
-      val forest = Learners.trainForest(train.map(x), train.map(y), Learners.ForestConfig(seed = seed))
+      val seed = 31L
+      val (train, valid) = Learners.split(y.length, ValidFrac, seed)
+      val forest = Learners.trainForest(train.map(x), train.map(y), seed)
       Stats.clamp01(Stats.f1(valid.map(i => forest.predictRow(x(i))), valid.map(y)))
     }
   }

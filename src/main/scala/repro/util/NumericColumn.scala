@@ -43,7 +43,10 @@ final class NumericColumn private (
 
 object NumericColumn {
 
-  /** The one parse rule for numeric cells: what `String.toDoubleOption` accepts. */
+  /** The one parse rule for numeric cells: what `String.toDoubleOption`
+    * accepts. Tasks read it through a column's view; the profiler applies
+    * it to the Γ cells of its sample rows.
+    */
   def parse(cell: Option[String]): Option[Double] = cell.flatMap(_.toDoubleOption)
 
   /** Parse every cell of a string column with [[parse]]. */

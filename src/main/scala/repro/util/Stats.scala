@@ -2,10 +2,10 @@ package repro.util
 
 /** Driver-side statistics shared by profiles, tasks, and quality scoring.
   *
-  * All estimators here are deterministic pure functions; the Spark-side
-  * equivalents (the batched profiler's corr sums and equi-rank MI
-  * histogram) are verified against these in the test suites so the two
-  * code paths cannot drift.
+  * All estimators here are deterministic pure functions. The profiler's
+  * corr and equi-rank MI are Spark aggregations over its sample rows;
+  * the test suites check them against [[pearson]] and an in-memory
+  * equi-rank MI kept in test scope.
   */
 object Stats {
 
@@ -87,10 +87,9 @@ object Stats {
     if (x >= 0) y else -y
   }
 
-  /** MI (nats) from a sparse joint histogram of (binX, binY, count).
-    * With [[rankBins]] it backs the one MI profile: the batched Spark
-    * profiler bins distributedly, [[normalizedMutualInformation]] in
-    * memory.
+  /** MI (nats) from a sparse joint histogram of (binX, binY, count): the
+    * MI profile's last step, over the cells of the profiler's equi-rank
+    * histogram in the order Spark returns them.
     */
   def miFromJointCounts(cells: Seq[(Int, Int, Long)], bins: Int): Double = {
     val n = cells.map(_._3).sum.toDouble
@@ -103,43 +102,6 @@ object Stats {
       if (pij > 0) mi += pij * math.log(pij / (px(i) * py(j)))
     }
     math.max(0.0, mi)
-  }
-
-  /** Equi-rank (equal-frequency) bin assignment used by the MI profile:
-    * bin = floor(percent_rank * bins), capped at bins-1 — mirrors the
-    * Spark window expression in the batched profiler.
-    */
-  def rankBins(values: Array[Double], bins: Int): Array[Int] = {
-    val n = values.length
-    if (n <= 1) return Array.fill(n)(0)
-    val sorted = values.zipWithIndex.sortBy(_._1)
-    val ranks = new Array[Int](n)
-    // percent_rank semantics: rank of first peer / (n-1), peers share rank.
-    var i = 0
-    while (i < n) {
-      var j = i
-      while (j + 1 < n && sorted(j + 1)._1 == sorted(i)._1) j += 1
-      val pr = i.toDouble / (n - 1)
-      val b = math.min(bins - 1, math.floor(pr * bins).toInt)
-      var k = i
-      while (k <= j) { ranks(sorted(k)._2) = b; k += 1 }
-      i = j + 1
-    }
-    ranks
-  }
-
-  /** Normalised MI in [0,1] of the pairwise-complete entries: each side
-    * equi-rank binned ([[rankBins]]), then MI / ln(bins) (ln(bins) bounds
-    * the binned MI). 0.0 when <4 pairs exist.
-    */
-  def normalizedMutualInformation(xs: Array[Option[Double]], ys: Array[Option[Double]], bins: Int = 8): Double = {
-    require(bins >= 2, "need at least 2 bins")
-    val (x, y) = completePairs(NumericColumn.fromOptions(xs), NumericColumn.fromOptions(ys))
-    if (x.length < 4) return 0.0
-    val bx = rankBins(x, bins)
-    val by = rankBins(y, bins)
-    val cells = bx.indices.groupBy(i => (bx(i), by(i))).map { case ((i, j), rows) => (i, j, rows.length.toLong) }
-    math.min(1.0, miFromJointCounts(cells.toSeq, bins) / math.log(bins.toDouble))
   }
 
   /** Binary F1 for the positive label `1.0`; 0.0 when precision+recall = 0. */
@@ -155,13 +117,6 @@ object Stats {
       val prec = tp.toDouble / (tp + fp); val rec = tp.toDouble / (tp + fn)
       2 * prec * rec / (prec + rec)
     }
-  }
-
-  /** Classification accuracy. */
-  def accuracy(predicted: Array[Double], actual: Array[Double]): Double = {
-    require(predicted.length == actual.length, "length mismatch")
-    if (predicted.isEmpty) 0.0
-    else predicted.indices.count(i => (predicted(i) >= 0.5) == (actual(i) >= 0.5)).toDouble / predicted.length
   }
 
   /** Mean absolute error. */

@@ -1,7 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.{col, min}
+import org.apache.spark.sql.functions.{col, expr, min}
 import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructType}
 
 import repro.core.{AugmentEngine, Candidate}
@@ -10,11 +10,11 @@ import repro.profile.Profiler
 
 /** Spark reference of the profiler's sample rows: the profiling sample
   * joined on its key with a tall view of every lake cell, deduplicated to
-  * one `min(value)` per (table, valueCol, key, target), as `Profiler`
-  * built them before it read them from the Γ columns. The rows go
-  * through the profiler's own aggregations, so the profiles agree bit
-  * for bit only if both paths hand Spark the same rows in the same
-  * partitions and order.
+  * one `min(value)` per (table, valueCol, key, target) and parsed with
+  * Spark's `try_cast`, as `Profiler` built them before it read them from
+  * the Γ columns. The rows go through the profiler's own aggregations, so
+  * the profiles agree bit for bit only if both paths hand Spark the same
+  * rows in the same partitions and order.
   */
 object SampleJoinReference {
 
@@ -38,7 +38,13 @@ object SampleJoinReference {
     spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
   }
 
-  /** Candidate id → (|corr|, normalised MI, overlap) of every batchable
+  /** Whether the tall view reaches `c`: a 1-hop candidate joining through
+    * its table's first key column.
+    */
+  def firstKey(lake: Lake, c: Candidate): Boolean =
+    c.hops == 1 && lake.table(c.edges.head.rightTable).meta.keyCols.headOption.contains(c.edges.head.rightKeyCol)
+
+  /** Candidate id → (|corr|, normalised MI, overlap) of every [[firstKey]]
     * candidate in `cands`, unclamped.
     */
   def profiles(spark: SparkSession, engine: AugmentEngine, cands: Seq[Candidate],
@@ -46,7 +52,7 @@ object SampleJoinReference {
     val input = engine.input
     val idx = Profiler.sampleIndices(input.nRows, Profiler.SampleSize, Profiler.SampleSeed)
     val target = input.numeric(targetCol)
-    cands.filter(Profiler.batchable(engine.lake, _)).groupBy(_.edges.head.leftCol).toSeq.flatMap { case (leftCol, cs) =>
+    cands.filter(firstKey(engine.lake, _)).groupBy(_.edges.head.leftCol).toSeq.flatMap { case (leftCol, cs) =>
       val keys = input.column(leftCol)
       val sampleSchema = StructType(Seq(
         StructField("skey", StringType, nullable = true),
@@ -60,6 +66,7 @@ object SampleJoinReference {
         .groupBy(col("table"), col("valueCol"), col("skey"), col("target"))
         .agg(min(col("value")).as("vs"))
         .where(col("vs").isNotNull && col("target").isNotNull)
+        .select(col("table"), col("valueCol"), col("skey"), col("target"), expr("try_cast(vs AS DOUBLE)").as("v"))
       val byColumn = Profiler.sampleProfiles(dedup, idx.length)
       cs.map(c => c.id -> byColumn.getOrElse((c.table, c.valueCol), (0.0, 0.0, 0.0)))
     }.toMap

@@ -67,7 +67,7 @@ class ScenarioGenSpec extends AnyFunSuite {
   test("planted coverage is below full coverage") {
     val planted = s.lake.table("toy_sig00")
     assert(planted.nRows < spec.rows)
-    assert(planted.nRows > (spec.rows * (spec.plantedCoverage - 0.15)).toInt)
+    assert(planted.nRows > (spec.rows * (ScenarioGen.PlantedCoverage - 0.15)).toInt)
   }
 
   test("erroneous tables mostly use foreign keys") {

