@@ -8,14 +8,15 @@ import repro.lake.Scenario
 import repro.profile.{Profiler, Profiles}
 
 /** End-to-end orchestration of one scenario: discovery (a driver-side
-  * containment index) → profiling (one estimator for every candidate:
-  * Spark aggregations over sample rows read and parsed from the Γ columns,
-  * which it materialises with driver-side joins, so the Γ prefetch after it
-  * finds every column in the memo) → run METAM and the baselines under a
-  * shared query budget. The
-  * augment engine (and its memoised Γ materialisations) is shared across
-  * methods — a query's *count* is per-method, its join is paid once,
-  * exactly as one server-side cache would serve all competitors.
+  * containment index) → profiling (one driver-side estimator for every
+  * candidate over sample rows read and parsed from the Γ columns, which it
+  * materialises with driver-side joins, so the Γ prefetch after it finds
+  * every column in the memo) → run METAM and the baselines under a shared
+  * query budget. None of these runs a Spark job; the `spark` parameters
+  * are unused and kept for the callers. The augment engine (and its
+  * memoised Γ materialisations) is shared across methods — a query's
+  * *count* is per-method, its join is paid once, exactly as one
+  * server-side cache would serve all competitors.
   */
 object Runner {
 
@@ -61,8 +62,6 @@ object Runner {
         case "MW" => Baselines.multiplicativeWeights(candidates, profiles, util, theta, seed = seed)
         case "Overlap" => Baselines.overlapRanking(candidates, profiles, util, theta)
         case "Uniform" => Baselines.uniformSampling(candidates, util, theta, seed)
-        case "iARDA" => Baselines.iArda(candidates, profiles, util, theta)
-        case "JoinEverything" => Baselines.joinEverything(candidates, util)
         case other => sys.error(s"unknown method $other")
       }
       m -> res

@@ -1,10 +1,6 @@
 package repro.profile
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructType}
-import scala.collection.mutable
+import org.apache.spark.sql.SparkSession
 import scala.util.hashing.MurmurHash3
 
 import repro.core.{AugmentEngine, Candidate}
@@ -48,15 +44,14 @@ object Profiler {
 
   /** Compute the profile vector of every candidate.
     *
-    * Corr, MI and overlap come from one estimator, whatever the candidate's
-    * join path: its sample rows, read from the engine's Γ columns (which
-    * this materialises ahead of `prefetch`) and parsed by
-    * [[NumericColumn.parse]], go to one `corr`/count aggregation
-    * and one equi-rank binned histogram for MI. Candidates are batched by
-    * input key column and occurrence number (how many earlier candidates
-    * share that key column, table and value column), so no batch sums two
-    * candidates under one (table, valueCol) group and each candidate's
-    * profiles depend only on its Γ column.
+    * Corr, MI and overlap come from one estimator on the driver, whatever
+    * the candidate's join path: [[sampleProfiles]] over its [[sampleRows]],
+    * read from the engine's Γ columns (which this materialises ahead of
+    * `prefetch`). The estimator depends only on the set of sample rows, so
+    * a candidate's profiles depend only on its Γ column.
+    *
+    * @param spark unused, as profiling needs no Spark; kept in the
+    *              signature that `Runner` and the `metambench` harness call
     */
   def profileAll(
       spark: SparkSession,
@@ -67,23 +62,10 @@ object Profiler {
     val input = engine.input
     val idx = sampleIndices(input.nRows, SampleSize, SampleSeed)
     val target = input.numeric(targetCol)
-
-    val seen = mutable.HashMap.empty[(String, String, String), Int]
-    val batches = cands.groupBy { c =>
-      val column = (c.edges.head.leftCol, c.table, c.valueCol)
-      val occurrence = seen.getOrElse(column, 0)
-      seen(column) = occurrence + 1
-      (column._1, occurrence)
-    }
-    val fromSample: Map[Int, (Double, Double, Double)] = batches.flatMap { case ((leftCol, _), cs) =>
-      val byColumn = withSampleRows(spark, engine, cs, leftCol, target, idx)(sampleProfiles(_, idx.length))
-      cs.map(c => c.id -> byColumn.getOrElse((c.table, c.valueCol), (0.0, 0.0, 0.0)))
-    }
-
     val inputEmbedding = TokenEmbedding.embed(input.meta.vocabulary ++ input.columnNames)
     val inputAttrTokens = attributeTokens(input.columnNames.toSet)
     val byId = cands.map { c =>
-      val (corrV, miV, overlapV) = fromSample(c.id)
+      val (corrV, miV, overlapV) = sampleProfiles(sampleRows(engine, c, target, idx), idx.length)
       val t = engine.lake.table(c.table)
       val embedV = TokenEmbedding.similarity(inputEmbedding, TokenEmbedding.embed(t.meta.vocabulary ++ t.columnNames))
       val metaV = tokenSimilarity(inputAttrTokens, input.meta.source, attributeTokens(t.columnNames.toSet), t.meta.source)
@@ -111,129 +93,88 @@ object Profiler {
     0.5 * jac + 0.5 * (if (aSource == bSource) 1.0 else 0.0)
   }
 
-  private val SampleRowSchema = StructType(Seq(
-    StructField("table", StringType, nullable = false),
-    StructField("valueCol", StringType, nullable = false),
-    StructField("skey", StringType, nullable = false),
-    StructField("target", DoubleType, nullable = false),
-    StructField("v", DoubleType, nullable = true),
-  ))
-
-  /** The sample rows `(table, valueCol, skey, target, v)` of the
-    * candidates `cs` joining through the input's `leftCol`, no two of which
-    * share a (table, valueCol): per candidate, one row for each distinct
-    * (key, target) of the sampled input rows whose key, target and Γ value
-    * are all present, with `v` the Γ value parsed by
-    * [[NumericColumn.parse]] (null where it is not a number). A target of
-    * −0.0 becomes 0.0, as Spark normalises a grouping key. Only the sampled
-    * cells are parsed: a numeric view of the whole column would stay in the
-    * engine's memo for candidates the search never queries.
-    *
-    * The rows are hash-partitioned on `skey` into
-    * `spark.sql.shuffle.partitions` partitions and sorted within each by
-    * (table, valueCol, skey, target): the partitions and order that
-    * joining the sample with the lake's cells on the key and taking each
-    * group's `min(value)` gave them, so [[sampleProfiles]] sums them in the
-    * same order as that join did and its profiles are bit-identical.
-    *
-    * `use` gets them as a DataFrame; the broadcast that carries them to the
-    * tasks is destroyed when it returns.
+  /** One sample row of a candidate: a sampled input row's join key and
+    * target, and its Γ value parsed by [[NumericColumn.parse]] (`None`
+    * where it is not a number).
     */
-  private def withSampleRows[A](
-      spark: SparkSession,
-      engine: AugmentEngine,
-      cs: Seq[Candidate],
-      leftCol: String,
-      target: Array[Option[Double]],
-      idx: Array[Int],
-  )(use: DataFrame => A): A = {
-    val keys = engine.input.column(leftCol)
-    val rows = cs.flatMap { c =>
-      val gamma = engine.column(c)
-      idx.iterator
-        .flatMap(i => for (k <- keys(i); t <- target(i); g <- gamma(i)) yield (k, if (t == 0.0) 0.0 else t, g))
-        .distinctBy { case (k, t, _) => (k, java.lang.Double.doubleToLongBits(t)) }
-        .map { case (k, t, g) => Row(c.table, c.valueCol, k, t, NumericColumn.parse(Some(g)).map(Double.box).orNull) }
-    }
-    // The rows reach the tasks in one broadcast rather than in task
-    // payloads, so a few map tasks feed the shuffle (each writes one block
-    // per partition) without any of them carrying a large payload.
-    val sc = spark.sparkContext
-    val shared = sc.broadcast(rows.toArray)
-    val slices = sc.defaultParallelism
-    val scattered = sc.parallelize(0 until slices, slices)
-      .flatMap(s => Iterator.range(s, shared.value.length, slices).map(shared.value(_)))
-    val sorted = spark.createDataFrame(scattered, SampleRowSchema)
-      .repartition(spark.conf.get("spark.sql.shuffle.partitions").toInt, col("skey"))
-      .sortWithinPartitions("table", "valueCol", "skey", "target")
-    try use(sorted) finally shared.destroy()
+  private[repro] final case class SampleRow(key: String, target: Double, value: Option[Double])
+
+  /** The sample rows of `c`: one for each distinct (key, target) of the
+    * sampled input rows `idx` whose key, target and Γ value are all present
+    * (targets compare as numbers, so −0.0 equals 0.0; the two add and rank
+    * alike). Only the sampled cells are parsed: a
+    * numeric view of the whole column would stay in the engine's memo for
+    * candidates the search never queries.
+    */
+  private[repro] def sampleRows(engine: AugmentEngine, c: Candidate, target: Array[Option[Double]],
+                                idx: Array[Int]): Seq[SampleRow] = {
+    val keys = engine.input.column(c.edges.head.leftCol)
+    val gamma = engine.column(c)
+    idx.toSeq
+      .flatMap(i => for (k <- keys(i); t <- target(i); g <- gamma(i)) yield (k, t, g))
+      .distinctBy { case (k, t, _) => (k, t) }
+      .map { case (k, t, g) => SampleRow(k, t, NumericColumn.parse(Some(g))) }
   }
 
-  /** (table, valueCol) → (|corr|, normalised MI, overlap fraction) from
-    * sample rows `(table, valueCol, skey, target, v)` of `sampleSize`
-    * sampled input rows, in two Spark jobs whose float sums follow the
-    * rows' partitions and order.
+  /** (|corr|, normalised MI, overlap fraction) from a candidate's sample
+    * rows of `sampleSize` sampled input rows. The result depends only on
+    * the set of rows, not on their order. Overlap counts the distinct keys
+    * of every row, as each carries a Γ value; corr and MI use only the rows
+    * whose value is a number (entity columns etc. stay joinable but
+    * contribute no correlation signal).
     */
-  private[repro] def sampleProfiles(rows: DataFrame, sampleSize: Int): Map[(String, String), (Double, Double, Double)] = {
-    // Overlap counts every row, as each carries a Γ value; corr/MI use only
-    // the rows whose value is a number (entity columns etc. stay joinable
-    // but contribute no correlation signal).
-    val dedup = rows.cache()
+  private[repro] def sampleProfiles(rows: Seq[SampleRow], sampleSize: Int): (Double, Double, Double) = {
+    val pairs = rows.collect { case SampleRow(_, t, Some(v)) => (v, t) }.toArray
+    (corr(pairs), mutualInformation(pairs), rows.map(_.key).distinct.size.toDouble / sampleSize)
+  }
 
-    // Correlation from sufficient statistics (computed distributedly, the
-    // final ratio guarded on the driver) — Spark's `corr` divides by the
-    // variance and throws under ANSI mode when a small matched group is
-    // constant.
-    val statsRows = dedup
-      .groupBy("table", "valueCol")
-      .agg(
-        countDistinct(col("skey")).as("matchedKeys"),
-        count(col("v")).as("n"),
-        sum(col("v")).as("sx"),
-        sum(col("v") * col("v")).as("sxx"),
-        sum(when(col("v").isNotNull, col("target"))).as("sy"),
-        sum(when(col("v").isNotNull, col("target") * col("target"))).as("syy"),
-        sum(col("v") * col("target")).as("sxy"),
-      )
-      .collect()
+  /** |Pearson r| of (v, t) pairs from five sufficient statistics (Σv, Σv²,
+    * Σt, Σt², Σvt), each per-row term rounded once and each sum correctly
+    * rounded ([[Stats.exactSum]]). 0.0 for fewer than 3 pairs, a
+    * (near-)constant side or a statistic that is not finite.
+    */
+  private def corr(pairs: Array[(Double, Double)]): Double = {
+    if (pairs.length < 3) return 0.0
+    val n = pairs.length.toDouble
+    def sum(term: ((Double, Double)) => Double): Double = Stats.exactSum(pairs.map(term))
+    val sx = sum(_._1); val sxx = sum(p => p._1 * p._1)
+    val sy = sum(_._2); val syy = sum(p => p._2 * p._2)
+    val sxy = sum(p => p._1 * p._2)
+    val varX = n * sxx - sx * sx
+    val varY = n * syy - sy * sy
+    val cov = n * sxy - sx * sy
+    if (!(java.lang.Double.isFinite(varX) && java.lang.Double.isFinite(varY) && java.lang.Double.isFinite(cov)) ||
+        varX < 1e-12 || varY < 1e-12) 0.0
+    else math.abs(cov / math.sqrt(varX * varY))
+  }
 
-    val numeric = dedup.where(col("v").isNotNull)
-    val wv = Window.partitionBy("table", "valueCol").orderBy("v")
-    val wt = Window.partitionBy("table", "valueCol").orderBy("target")
-    val histRows = numeric
-      .withColumn("bx", least(lit(Bins - 1), floor(percent_rank().over(wv) * Bins)).cast("int"))
-      .withColumn("by", least(lit(Bins - 1), floor(percent_rank().over(wt) * Bins)).cast("int"))
-      .groupBy("table", "valueCol", "bx", "by")
-      .agg(count(lit(1)).as("c"))
-      .collect()
-    dedup.unpersist()
+  /** Normalised MI of (v, t) pairs: each side equi-rank binned
+    * ([[rankBins]]), the joint histogram's cells in (bx, by) order through
+    * [[Stats.miFromJointCounts]], over ln([[Bins]]). 0.0 for fewer than 4
+    * pairs.
+    */
+  private def mutualInformation(pairs: Array[(Double, Double)]): Double = {
+    if (pairs.length < 4) return 0.0
+    val bx = rankBins(pairs.map(_._1)); val by = rankBins(pairs.map(_._2))
+    val counts = Array.ofDim[Long](Bins, Bins)
+    pairs.indices.foreach(i => counts(bx(i))(by(i)) += 1)
+    val cells = for (i <- 0 until Bins; j <- 0 until Bins if counts(i)(j) > 0) yield (i, j, counts(i)(j))
+    Stats.miFromJointCounts(cells) / math.log(Bins.toDouble)
+  }
 
-    val hists = histRows
-      .groupBy(r => (r.getString(0), r.getString(1)))
-      .view
-      .mapValues(_.map(r => (r.getInt(2), r.getInt(3), r.getLong(4))).toSeq)
-      .toMap
-
-    statsRows.map { r =>
-      val k = (r.getString(0), r.getString(1))
-      val matchedKeys = r.getLong(2)
-      val n = r.getLong(3)
-      val corrV =
-        if (n < 3 || r.isNullAt(4)) 0.0
-        else {
-          val nn = n.toDouble
-          val sx = r.getDouble(4); val sxx = r.getDouble(5)
-          val sy = r.getDouble(6); val syy = r.getDouble(7)
-          val sxy = r.getDouble(8)
-          val varX = nn * sxx - sx * sx
-          val varY = nn * syy - sy * sy
-          if (varX < 1e-12 || varY < 1e-12) 0.0
-          else math.abs((nn * sxy - sx * sy) / math.sqrt(varX * varY))
-        }
-      val miV =
-        if (n < 4) 0.0
-        else hists.get(k).map(h => Stats.miFromJointCounts(h, Bins) / math.log(Bins.toDouble)).getOrElse(0.0)
-      k -> ((corrV, miV, matchedKeys.toDouble / sampleSize))
-    }.toMap
+  /** Equi-rank bin of each of `xs` (at least two values):
+    * floor(percent_rank · [[Bins]]), capped at `Bins − 1`, where
+    * percent_rank is the rank of the value's first peer over (n − 1) and
+    * equal values are peers.
+    */
+  private def rankBins(xs: Array[Double]): Array[Int] = {
+    val order = xs.indices.sortBy(xs)(Ordering.Double.TotalOrdering)
+    val bins = new Array[Int](xs.length)
+    var first = 0
+    order.indices.foreach { r =>
+      if (xs(order(r)) != xs(order(first))) first = r
+      bins(order(r)) = math.min(Bins - 1, math.floor(first.toDouble / (xs.length - 1) * Bins).toInt)
+    }
+    bins
   }
 }

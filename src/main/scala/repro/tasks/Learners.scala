@@ -75,7 +75,7 @@ object Learners {
       val feats = rnd
         .shuffle((0 until nFeat).toVector)
         .take(math.max(1, math.ceil(nFeat * FeatureFrac).toInt))
-      grow(x, y, rows, feats, depth = 0, rnd)
+      grow(x, y, rows, feats, depth = 0)
     }.toVector
     Forest(trees)
   }
@@ -83,7 +83,7 @@ object Learners {
   private def grow(
       x: Array[Array[Double]], y: Array[Double],
       rows: Array[Int], feats: Vector[Int],
-      depth: Int, rnd: Random,
+      depth: Int,
   ): Node = {
     val ys = rows.map(y)
     val meanY = Stats.mean(ys)
@@ -110,7 +110,7 @@ object Learners {
       case None => Leaf(meanY)
       case Some((f, thr, _)) =>
         val (l, r) = rows.partition(i => x(i)(f) <= thr)
-        Split(f, thr, grow(x, y, l, feats, depth + 1, rnd), grow(x, y, r, feats, depth + 1, rnd))
+        Split(f, thr, grow(x, y, l, feats, depth + 1), grow(x, y, r, feats, depth + 1))
     }
   }
 }

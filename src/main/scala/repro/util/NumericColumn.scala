@@ -44,10 +44,12 @@ final class NumericColumn private (
 object NumericColumn {
 
   /** The one parse rule for numeric cells: what `String.toDoubleOption`
-    * accepts. Tasks read it through a column's view; the profiler applies
-    * it to the Γ cells of its sample rows.
+    * accepts, if it is finite. `"NaN"`, `"Infinity"` and values beyond the
+    * double range such as `"1e400"` do not parse, so no estimator sees a
+    * non-finite number. Tasks read it through a column's view; the profiler
+    * applies it to the Γ cells of its sample rows.
     */
-  def parse(cell: Option[String]): Option[Double] = cell.flatMap(_.toDoubleOption)
+  def parse(cell: Option[String]): Option[Double] = cell.flatMap(_.toDoubleOption).filter(java.lang.Double.isFinite)
 
   /** Parse every cell of a string column with [[parse]]. */
   def of(cells: Array[Option[String]]): NumericColumn =

@@ -3,9 +3,10 @@ package repro.util
 /** Driver-side statistics shared by profiles, tasks, and quality scoring.
   *
   * All estimators here are deterministic pure functions. The profiler's
-  * corr and equi-rank MI are Spark aggregations over its sample rows;
-  * the test suites check them against [[pearson]] and an in-memory
-  * equi-rank MI kept in test scope.
+  * corr and equi-rank MI are computed on the driver from its sample rows
+  * (MI through [[miFromJointCounts]]); the test suites check them against
+  * [[pearson]], DuckDB's `corr` and an in-memory equi-rank MI kept in test
+  * scope.
   */
 object Stats {
 
@@ -87,11 +88,64 @@ object Stats {
     if (x >= 0) y else -y
   }
 
-  /** MI (nats) from a sparse joint histogram of (binX, binY, count): the
-    * MI profile's last step, over the cells of the profiler's equi-rank
-    * histogram in the order Spark returns them.
+  /** The sum of `xs` correctly rounded, so it does not depend on their
+    * order: the terms are accumulated exactly as a non-overlapping expansion
+    * of error-free two-sums (Shewchuk, "Adaptive precision floating-point
+    * arithmetic", DCG 1997; the algorithm of Python's `math.fsum`) and the
+    * expansion is rounded once, half to even. NaN when a term is not finite
+    * or the terms are so large that a partial sum could overflow.
     */
-  def miFromJointCounts(cells: Seq[(Int, Int, Long)], bins: Int): Double = {
+  def exactSum(xs: Array[Double]): Double = {
+    val bound = xs.foldLeft(0.0)((m, x) => math.max(m, math.abs(x)))
+    if (!(bound * xs.length <= Double.MaxValue / 2)) return Double.NaN
+    // Non-zero, non-overlapping partials in increasing magnitude whose
+    // exact sum is the exact sum of the terms so far.
+    val partials = new Array[Double](xs.length)
+    var n = 0
+    xs.foreach { term =>
+      var x = term
+      var kept = 0
+      var j = 0
+      while (j < n) {
+        var y = partials(j)
+        if (math.abs(x) < math.abs(y)) { val t = x; x = y; y = t }
+        val hi = x + y
+        val lo = y - (hi - x)
+        if (lo != 0.0) { partials(kept) = lo; kept += 1 }
+        x = hi
+        j += 1
+      }
+      n = kept
+      if (x != 0.0) { partials(n) = x; n += 1 }
+    }
+    // Add the partials from the top until the sum turns inexact; `lo` is
+    // then what was rounded off.
+    if (n == 0) return 0.0
+    n -= 1
+    var hi = partials(n)
+    var lo = 0.0
+    while (n > 0 && lo == 0.0) {
+      val x = hi
+      val y = partials(n - 1)
+      n -= 1
+      hi = x + y
+      lo = y - (hi - x)
+    }
+    // A rounded-off half is exact only if no lower partial lies on its
+    // side; one that does tips the rounding away from even.
+    if (n > 0 && ((lo < 0.0 && partials(n - 1) < 0.0) || (lo > 0.0 && partials(n - 1) > 0.0))) {
+      val y = lo * 2.0
+      val x = hi + y
+      if (y == x - hi) hi = x
+    }
+    hi
+  }
+
+  /** MI (nats) from a sparse joint histogram of (binX, binY, count): the
+    * MI profile's last step. Its sum follows the order of `cells`; the
+    * profiler passes them in (binX, binY) order.
+    */
+  def miFromJointCounts(cells: Seq[(Int, Int, Long)]): Double = {
     val n = cells.map(_._3).sum.toDouble
     if (n < 4) return 0.0
     val px = cells.groupBy(_._1).view.mapValues(_.map(_._3).sum / n).toMap

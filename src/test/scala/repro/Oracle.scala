@@ -1,6 +1,6 @@
 package repro
 
-import java.sql.DriverManager
+import java.sql.{Connection, DriverManager}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 import scala.jdk.CollectionConverters._
@@ -11,7 +11,8 @@ import repro.lake.LakeTable
   *
   * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
+  * match ``sparkDf``; ``query(tables)(sqls)`` returns the rows of
+  * queries over driver tables. This catches wrong results from a rewritten plan
   * or a custom operator — "it ran" is not "it is correct".
   *
   * Alias every output column identically on both sides (Spark names
@@ -48,33 +49,57 @@ object Oracle {
     spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), schema)
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  /** Load `rows` into a new DuckDB table `name` of VARCHAR columns `cols`. */
+  private def load(conn: Connection, name: String, cols: Seq[String], rows: Iterator[Seq[String]]): Unit = {
+    conn.createStatement.execute(
+      s"CREATE TABLE \"$name\" (${cols.map(c => s"\"$c\" VARCHAR").mkString(", ")})"
+    )
+    val ps = conn.prepareStatement(
+      s"INSERT INTO \"$name\" VALUES (${cols.map(_ => "?").mkString(",")})"
+    )
+    rows.foreach { r =>
+      cols.indices.foreach(i => ps.setString(i + 1, r(i)))
+      ps.addBatch()
+    }
+    ps.executeBatch(); ps.close()
+  }
+
+  /** Column labels and rows of `sql` on `conn`. */
+  private def select(conn: Connection, sql: String): (Seq[String], Seq[Row]) = {
+    val rs   = conn.createStatement.executeQuery(sql)
+    val meta = rs.getMetaData
+    val cols = (1 to meta.getColumnCount).map(meta.getColumnLabel)
+    val rows = Iterator
+      .continually(rs)
+      .takeWhile(_.next())
+      .map(r => Row.fromSeq((1 to cols.size).map(r.getObject)))
+      .toSeq
+    (cols, rows)
+  }
+
+  private def connect(): Connection = {
     Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
+    DriverManager.getConnection("jdbc:duckdb:")
+  }
+
+  /** The rows of each of `sqls`, run on DuckDB over driver `tables`, each
+    * loaded under its name with its columns' names, every column VARCHAR.
+    */
+  def query(tables: (String, LakeTable)*)(sqls: Seq[String]): Seq[Seq[Row]] = {
+    val conn = connect()
     try {
-      for ((name, df) <- tables) {
-        val cols = df.columns
-        conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
-      }
-      val rs   = conn.createStatement.executeQuery(sql)
-      val meta = rs.getMetaData
-      val dCols = (1 to meta.getColumnCount).map(meta.getColumnLabel)
-      val dRows = Iterator
-        .continually(rs)
-        .takeWhile(_.next())
-        .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
-        .toSeq
+      for ((name, t) <- tables) load(conn, name, t.columnNames, (0 until t.nRows).iterator.map(i => t.columns.map(_._2(i).orNull)))
+      sqls.map(select(conn, _)._2)
+    } finally conn.close()
+  }
+
+  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+    val conn = connect()
+    try {
+      // Collect once; this is an oracle, not a bench — keep tables small.
+      for ((name, df) <- tables)
+        load(conn, name, df.columns.toSeq, df.collect().iterator.map(r => r.toSeq.map(v => Option(v).map(_.toString).orNull)))
+      val (dCols, dRows) = select(conn, sql)
       val sCols = sparkDf.columns.toSeq
       require(
         dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,

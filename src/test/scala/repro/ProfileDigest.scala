@@ -7,10 +7,6 @@ import repro.profile.Profiles
 
 /** A fingerprint of a run's profiles, so that bench output shows whether
   * two builds profile every candidate to the same bits.
-  *
-  * Corr and MI are Spark sums whose order follows the partitioning, so
-  * digests compare only between runs with the same number of cores and
-  * the same `spark.sql.shuffle.partitions`.
   */
 object ProfileDigest {
 

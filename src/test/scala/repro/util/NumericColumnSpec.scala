@@ -27,29 +27,43 @@ class NumericColumnSpec extends AnyFunSuite with PropSupport {
     case _ => false
   }
 
-  test("the view equals toDoubleOption cell for cell") {
+  /** What [[NumericColumn.parse]] accepts: `toDoubleOption`'s finite values. */
+  private def finiteDouble(cell: Option[String]): Option[Double] = cell.flatMap(_.toDoubleOption).filter(_.isFinite)
+
+  test("the view equals toDoubleOption's finite values cell for cell") {
     val cells: Array[Option[String]] = (awkward.map(Some(_)) :+ None).toArray
     val view = NumericColumn.of(cells)
     assert(view.length == cells.length)
     cells.indices.foreach { i =>
-      val expected = cells(i).flatMap(_.toDoubleOption)
+      val expected = finiteDouble(cells(i))
       assert(sameBits(view(i), expected), s"cell ${cells(i)}: ${view(i)} vs $expected")
       assert(view.isDefined(i) == expected.isDefined)
     }
-    assert(view(cells.indexOf(Some("1e400"))).contains(Double.PositiveInfinity))
     assert(view(cells.indexOf(Some(" 2 "))).contains(2.0))
-    assert(view(cells.indexOf(Some("NaN"))).exists(_.isNaN))
     assert(view(cells.indexOf(Some("-0.0"))).map(doubleToRawLongBits).contains(doubleToRawLongBits(-0.0)))
     assert(!view.isDefined(cells.indexOf(Some(""))))
     checkProp(Prop.forAll(Gen.listOf(cell)) { list =>
       val cs = list.toArray
       val v = NumericColumn.of(cs)
-      val expected = cs.map(_.flatMap(_.toDoubleOption))
+      val expected = cs.map(finiteDouble)
       v.length == cs.length &&
         cs.indices.forall(i => sameBits(v(i), expected(i)) && v.isDefined(i) == expected(i).isDefined) &&
         v.count == expected.count(_.isDefined) && v.nonNull == cs.count(_.isDefined) &&
         v.parsedValues.map(doubleToRawLongBits).toSeq == expected.flatten.map(doubleToRawLongBits).toSeq
     }, tries = 200)
+  }
+
+  test("parse accepts finite doubles only") {
+    Seq("NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e309").foreach { s =>
+      assert(s.toDoubleOption.isDefined, s)
+      assert(NumericColumn.parse(Some(s)).isEmpty, s)
+    }
+    assert(NumericColumn.parse(Some("1e200")).contains(1e200))
+    assert(NumericColumn.parse(Some("1.7976931348623157e308")).contains(Double.MaxValue))
+    assert(NumericColumn.parse(Some("4.9e-324")).contains(Double.MinPositiveValue))
+    assert(NumericColumn.parse(Some("1e-400")).contains(0.0))
+    val view = NumericColumn.of(Array(Some("NaN"), Some("Infinity"), Some("1e400"), Some("3"), None))
+    assert(view.count == 1 && view.nonNull == 4 && view.parsedValues.toSeq == Seq(3.0))
   }
 
   test("LakeTable and LocalTable parse with the same rule") {

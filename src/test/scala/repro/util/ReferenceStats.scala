@@ -1,14 +1,14 @@
 package repro.util
 
 /** In-memory estimators that only the test suites use: the equi-rank
-  * mutual information that the profiler's Spark MI is checked against,
-  * and classification accuracy.
+  * mutual information that the profiler's MI is checked against, and
+  * classification accuracy.
   */
 object ReferenceStats {
 
   /** Equi-rank (equal-frequency) bin assignment of the MI profile:
-    * bin = floor(percent_rank * bins), capped at bins-1, as the profiler's
-    * Spark window expression computes it.
+    * bin = floor(percent_rank * bins), capped at bins-1, with SQL's
+    * `percent_rank` semantics.
     */
   def rankBins(values: Array[Double], bins: Int): Array[Int] = {
     val n = values.length
@@ -41,7 +41,7 @@ object ReferenceStats {
     val bx = rankBins(complete.map(xs(_).get).toArray, bins)
     val by = rankBins(complete.map(ys(_).get).toArray, bins)
     val cells = bx.indices.groupBy(i => (bx(i), by(i))).map { case ((i, j), rows) => (i, j, rows.length.toLong) }
-    math.min(1.0, Stats.miFromJointCounts(cells.toSeq, bins) / math.log(bins.toDouble))
+    math.min(1.0, Stats.miFromJointCounts(cells.toSeq) / math.log(bins.toDouble))
   }
 
   /** Classification accuracy. */

@@ -125,20 +125,20 @@ class StatsSpec extends AnyFunSuite with PropSupport {
     val bins = 4
     val bx = ReferenceStats.rankBins(x, bins); val by = ReferenceStats.rankBins(y, bins)
     val hist = x.indices.groupBy(i => (bx(i), by(i))).toSeq.map { case ((i, j), rows) => (i, j, rows.length.toLong) }
-    val expected = Stats.miFromJointCounts(hist, bins) / math.log(bins.toDouble)
+    val expected = Stats.miFromJointCounts(hist) / math.log(bins.toDouble)
     assert(expected > 0.0)
     assert(ReferenceStats.normalizedMutualInformation(some(x: _*), some(y: _*), bins) == expected)
   }
 
   test("miFromJointCounts matches direct MI for a simple histogram") {
     // Perfectly dependent 2x2: (0,0) and (1,1) only → MI = log 2.
-    val mi = Stats.miFromJointCounts(Seq((0, 0, 50L), (1, 1, 50L)), 2)
+    val mi = Stats.miFromJointCounts(Seq((0, 0, 50L), (1, 1, 50L)))
     assert(math.abs(mi - math.log(2)) < 1e-9)
   }
 
   test("miFromJointCounts of independent uniform histogram is 0") {
     val cells = for (i <- 0 until 2; j <- 0 until 2) yield (i, j, 25L)
-    assert(Stats.miFromJointCounts(cells, 2) < 1e-12)
+    assert(Stats.miFromJointCounts(cells) < 1e-12)
   }
 
   test("rankBins assigns equal-frequency bins") {
@@ -180,5 +180,37 @@ class StatsSpec extends AnyFunSuite with PropSupport {
 
   test("clamp01 clamps") {
     assert(Stats.clamp01(-0.5) == 0.0 && Stats.clamp01(1.5) == 1.0 && Stats.clamp01(0.3) == 0.3)
+  }
+
+  private def bigDecimalSum(xs: Array[Double]): Double =
+    xs.foldLeft(java.math.BigDecimal.ZERO)((s, x) => s.add(new java.math.BigDecimal(x))).doubleValue
+
+  test("exactSum is the correctly rounded sum, in every order") {
+    val term: Gen[Double] = Gen.frequency(
+      3 -> Gen.zip(Gen.choose(-1.0, 1.0), Gen.choose(-30, 30)).map { case (m, e) => m * math.pow(10.0, e) },
+      1 -> Gen.choose(-3, 3).map(_.toDouble),
+      1 -> Gen.oneOf(0.0, -0.0, Double.MinPositiveValue, -Double.MinPositiveValue, 1e300, -1e300),
+    )
+    // A term, its negation and its neighbours' rounding halves, so the sum
+    // cancels and lands on and around ties.
+    val terms: Gen[Array[Double]] = Gen.listOf(term).flatMap { xs =>
+      Gen.someOf(xs).map(negated => (xs ++ negated.map(-_) ++ xs.take(2).map(x => math.ulp(x) / 2)).toArray)
+    }
+    checkProp(Prop.forAll(terms, Gen.long) { (xs, seed) =>
+      val want = java.lang.Double.doubleToRawLongBits(bigDecimalSum(xs))
+      val shuffled = new scala.util.Random(seed).shuffle(xs.toSeq).toArray
+      java.lang.Double.doubleToRawLongBits(Stats.exactSum(xs)) == want &&
+        java.lang.Double.doubleToRawLongBits(Stats.exactSum(shuffled)) == want
+    }, tries = 2000)
+    assert(Stats.exactSum(Array(1e-16, 1.0, 1e16)) == 10000000000000002.0)
+    assert(Stats.exactSum(Array.fill(10)(0.1)) == 1.0)
+    assert(Stats.exactSum(Array(1e100, 1.0, -1e100, 1e-100, 1e50, -1.0, -1e50)) == 1e-100)
+    assert(Stats.exactSum(Array.empty) == 0.0)
+  }
+
+  test("exactSum is NaN for terms that are not finite or could overflow") {
+    assert(Stats.exactSum(Array(1.0, Double.NaN)).isNaN)
+    assert(Stats.exactSum(Array(Double.PositiveInfinity, 1.0)).isNaN)
+    assert(Stats.exactSum(Array(Double.MaxValue, -Double.MaxValue)).isNaN)
   }
 }
