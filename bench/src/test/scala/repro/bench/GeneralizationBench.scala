@@ -38,10 +38,7 @@ class GeneralizationBench extends SparkSpec {
 
   test("fair classification: METAM skips the unfair high-correlation cluster") {
     val s = ScenarioGen.fairClassification()
-    // Paper-default ε: the fair/unfair profile gap (~0.15) needs the fine
-    // cover to land them in different clusters.
-    val run = Runner.run(spark, s, theta = 0.95, budget = 50,
-      metamCfg = repro.core.MetamConfig(tau = 10, epsilon = 0.05))
+    val run = Runner.run(spark, s, theta = 0.95, budget = 50, metamCfg = repro.core.MetamConfig(tau = 10))
     val m = run.results("METAM")
     println(s"[bench] fair-credit n=${run.candidates.size} " +
       Runner.DefaultMethods.map(x => f"$x=${run.results(x).utilityAt(50)}%.2f").mkString(" "))

@@ -11,7 +11,8 @@ import repro.lake.{Scenario, ScenarioGen, TaskKind}
   */
 object TableIIJob {
 
-  val Methods: Vector[String] = Vector("METAM", "MW", "Overlap", "Uniform")
+  /** Table II's columns: the methods `Runner.run` runs by default. */
+  val Methods: Vector[String] = Runner.DefaultMethods
 
   /** Paper's Table II utilities, per dataset and method. */
   val PaperRows: Seq[(String, Map[String, Double])] = Seq(

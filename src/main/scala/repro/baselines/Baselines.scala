@@ -45,18 +45,6 @@ object Baselines {
     greedyOrdered("Uniform", ordered, util, theta)
   }
 
-  /** iARDA: ARDA's feature-importance ranking (its importance score maps
-    * to the correlation profile here) queried in decreasing order —
-    * "augmentations are queried in decreasing order of ranking returned
-    * by [ARDA]".
-    */
-  def iArda(cands: Vector[Candidate], profiles: Profiles, util: CountingUtility, theta: Double): SearchResult = {
-    val ci = profiles.profileIndex("corr")
-    val mi = profiles.profileIndex("mi")
-    val ordered = cands.sortBy(c => (-(profiles.of(c)(ci) + profiles.of(c)(mi)), c.id))
-    greedyOrdered("iARDA", ordered, util, theta).copy(method = "iARDA")
-  }
-
   /** Randomized multiplicative-weights over profile "experts" (§III-A):
     * each step samples an expert proportionally to its weight, queries the
     * expert's best-ranked unqueried candidate, and multiplies the expert's
@@ -102,33 +90,6 @@ object Baselines {
       }
     } catch { case _: BudgetExhausted => () }
     finish("MW", solution, util)
-  }
-
-  /** Join Everything (§II-C): a single query with every candidate. */
-  def joinEverything(cands: Vector[Candidate], util: CountingUtility): SearchResult = {
-    try util.query(cands.toSet)
-    catch { case _: BudgetExhausted => () }
-    finish("JoinEverything", cands, util)
-  }
-
-  /** Brute-force subset enumeration in increasing size order — the
-    * O(2^n) oracle of §III-A. Only for tiny candidate sets in tests; the
-    * first subset reaching θ is size-minimal by construction.
-    */
-  def exhaustive(cands: Vector[Candidate], util: CountingUtility, theta: Double): SearchResult = {
-    var best = Vector.empty[Candidate]
-    try {
-      util.baseUtility
-      var found = false
-      var size = 1
-      while (!found && size <= cands.length) {
-        cands.combinations(size).foreach { combo =>
-          if (!found && util.query(combo.toSet) >= theta) { best = combo; found = true }
-        }
-        size += 1
-      }
-    } catch { case _: BudgetExhausted => () }
-    finish("Exhaustive", best, util)
   }
 
   private def finish(method: String, solution: Vector[Candidate], util: CountingUtility): SearchResult = {

@@ -98,8 +98,4 @@ object ClusterPartition {
     }
     best
   }
-
-  /** The "no clustering" degenerate partition (ablation variant Nc). */
-  def singletons(n: Int): Clustering =
-    Clustering((0 until n).toVector, Array.tabulate(n)(identity))
 }

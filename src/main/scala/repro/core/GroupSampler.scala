@@ -10,7 +10,7 @@ import scala.util.Random
   * highest draws, then picks one (pseudo-random, seeded) candidate from
   * each selected cluster.
   */
-final class GroupSampler(nClusters: Int, seed: Long, thompson: Boolean = true) {
+final class GroupSampler(nClusters: Int, seed: Long) {
   require(nClusters > 0, "need at least one cluster")
 
   private val successes = Array.fill(nClusters)(0)
@@ -19,10 +19,6 @@ final class GroupSampler(nClusters: Int, seed: Long, thompson: Boolean = true) {
 
   def record(cluster: Int, success: Boolean): Unit =
     if (success) successes(cluster) += 1 else failures(cluster) += 1
-
-  /** Posterior mean of an arm (for inspection/tests). */
-  def posteriorMean(cluster: Int): Double =
-    (1.0 + successes(cluster)) / (2.0 + successes(cluster) + failures(cluster))
 
   /** Beta(1+s, 1+f) draw via the Jöhnk/gamma-free approximation: the mean
     * of `s+f+1` uniforms ordered — we use the simpler inverse-free method
@@ -44,8 +40,7 @@ final class GroupSampler(nClusters: Int, seed: Long, thompson: Boolean = true) {
   /** Build a size-`t` group: each slot samples a cluster from the
     * posterior (with replacement — a strong cluster may contribute several
     * members) and then a pseudo-random not-yet-chosen candidate from that
-    * cluster's pool. With `thompson` disabled (ablation variant Eq),
-    * clusters are ranked by a plain uniform draw — all equally important.
+    * cluster's pool.
     */
   def sampleGroup(t: Int, pools: Int => Vector[Candidate]): Vector[Candidate] = {
     val chosen = scala.collection.mutable.LinkedHashSet.empty[Candidate]
@@ -54,9 +49,7 @@ final class GroupSampler(nClusters: Int, seed: Long, thompson: Boolean = true) {
       val avail = (0 until nClusters).filter(c => pools(c).exists(x => !chosen.contains(x)))
       if (avail.isEmpty) stalled = true
       else {
-        val cluster = avail.maxBy { c =>
-          if (thompson) betaDraw(1.0 + successes(c), 1.0 + failures(c)) else rnd.nextDouble()
-        }
+        val cluster = avail.maxBy(c => betaDraw(1.0 + successes(c), 1.0 + failures(c)))
         val pool = pools(cluster).filterNot(chosen.contains)
         chosen += pool(rnd.nextInt(pool.size))
       }

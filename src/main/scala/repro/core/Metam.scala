@@ -28,34 +28,32 @@ final case class SearchResult(
   def queriesTo(theta: Double): Option[Int] = curve.find(_._2 >= theta - 1e-9).map(_._1)
 }
 
-/** Configuration of Algorithm 1.
+/** Configuration of Algorithm 1: the target, the sequential round's width
+  * and the seed. The rest of the method is fixed, as in the paper: the
+  * ε-cover (P2) at radius [[epsilon]], Thompson-sampled group querying
+  * over its clusters, monotonicity certification (P3) in
+  * [[CountingUtility]], and 8 group queries at each subset size.
   *
   * @param theta     target utility threshold θ
-  * @param epsilon   ε-cover radius for CLUSTER-PARTITION (paper default
-  *                  0.05; coarser covers merge candidates of different
-  *                  utility into one cluster and starve the per-round
-  *                  cluster probe)
   * @param tau       probes per sequential round; ≤0 means the paper's
   *                  default τ = |C| (one probe per cluster), capped at 25
   *                  so a commit never costs more than 25 queries
   * @param seed      seeds the ε-cover's first center and the group
   *                  sampler
-  * @param useClustering  ablation switch: false = every candidate is its
-  *                  own cluster (variant Nc)
-  * @param useThompson    ablation switch: false = clusters ranked with
-  *                  equal importance in group sampling (variant Eq)
-  * @param groupRoundsPerSize  group queries at each subset size t before
-  *                  t grows by one
   */
 final case class MetamConfig(
     theta: Double = 0.95,
-    epsilon: Double = 0.05,
     tau: Int = -1,
     seed: Long = 41,
-    useClustering: Boolean = true,
-    useThompson: Boolean = true,
-    groupRoundsPerSize: Int = 8,
-)
+) {
+  /** ε-cover radius for CLUSTER-PARTITION, the paper's default. Coarser
+    * covers merge candidates of different utility into one cluster and
+    * starve the per-round cluster probe: fair classification's fair and
+    * unfair candidates are about 0.15 apart in profile space, and only a
+    * cover this fine puts them in different clusters.
+    */
+  val epsilon: Double = 0.05
+}
 
 /** Algorithm 1: METAM's adaptive interventional querying strategy. */
 object Metam {
@@ -65,6 +63,8 @@ object Metam {
   private val MinGain = 1e-9
   /** Largest subset size the combinatorial sweep enumerates. */
   private val MaxSweepSize = 8
+  /** Group queries at each subset size t before t grows by one. */
+  private val GroupRoundsPerSize = 8
 
   def run(
       cands: Vector[Candidate],
@@ -74,13 +74,11 @@ object Metam {
   ): SearchResult = {
     require(cands.nonEmpty, "no candidate augmentations")
     val n = cands.length
-    val clustering =
-      if (cfg.useClustering) ClusterPartition.cluster(cands.map(profiles.of), cfg.epsilon, cfg.seed)
-      else ClusterPartition.singletons(n)
+    val clustering = ClusterPartition.cluster(cands.map(profiles.of), cfg.epsilon, cfg.seed)
     val clusterOf = clustering.assignment // candidate index → cluster id
 
     val qs = new QualityScores(profiles, cands, clustering)
-    val bandit = new GroupSampler(clustering.nClusters, cfg.seed + 1, cfg.useThompson)
+    val bandit = new GroupSampler(clustering.nClusters, cfg.seed + 1)
     val tau = if (cfg.tau > 0) cfg.tau else math.min(clustering.nClusters, TauCap)
 
     var tStar = Vector.empty[Candidate]
@@ -131,7 +129,7 @@ object Metam {
           val ug = util.query(g.toSet)
           if (ug > uTc) { tcStar = g; uTc = ug }
           groupsAtSize += 1
-          if (groupsAtSize >= cfg.groupRoundsPerSize) { t += 1; groupsAtSize = 0 }
+          if (groupsAtSize >= GroupRoundsPerSize) { t += 1; groupsAtSize = 0 }
         }
 
         // ----- commit P'_max if it improves utility.

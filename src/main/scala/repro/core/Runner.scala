@@ -20,6 +20,7 @@ import repro.profile.{Profiler, Profiles}
   */
 object Runner {
 
+  /** METAM and the three Table II baselines, in the order results are reported. */
   val DefaultMethods: Vector[String] = Vector("METAM", "MW", "Overlap", "Uniform")
 
   /** Full outcome of one scenario run. */
@@ -50,11 +51,9 @@ object Runner {
       budget: Int,
       methods: Seq[String] = DefaultMethods,
       metamCfg: MetamConfig = MetamConfig(),
-      minContainment: Double = 0.03,
-      maxHops: Int = 1,
       seed: Long = 4242,
   ): ScenarioRun = {
-    val (engine, candidates, profiles) = prepare(spark, scenario, minContainment, maxHops)
+    val (engine, candidates, profiles) = prepare(spark, scenario)
     val results = methods.map { m =>
       val util = new CountingUtility(engine, scenario.task, budget)
       val res = m match {

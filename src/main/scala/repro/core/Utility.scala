@@ -30,7 +30,6 @@ final class CountingUtility(
     engine: AugmentEngine,
     task: Task,
     val budget: Int,
-    monotone: Boolean = true,
 ) {
   private val raw = mutable.HashMap.empty[Set[Int], Double]
   private val curveBuf = mutable.ArrayBuffer.empty[(Int, Double)]
@@ -54,18 +53,12 @@ final class CountingUtility(
       val u = task.utility(engine.localTable(sel.toSeq.sortBy(_.id)))
       if (u.isNaN) 0.0 else Stats.clamp01(u)
     })
-    val u = if (monotone) monotoneClosure(key, rawU) else rawU
+    val u = monotoneClosure(key, rawU)
     if (fresh) {
       bestSoFar = math.max(bestSoFar, u)
       curveBuf += ((raw.size, bestSoFar))
     }
     u
-  }
-
-  /** Raw (un-certified) utility — exposed for P3 tests. */
-  def queryRaw(sel: Set[Candidate]): Double = {
-    query(sel) // ensure evaluated & counted
-    raw(sel.map(_.id))
   }
 
   private def monotoneClosure(key: Set[Int], rawU: Double): Double = {

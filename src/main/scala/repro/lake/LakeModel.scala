@@ -47,13 +47,6 @@ final case class LakeTable(
     column(name).map(NumericColumn.parse)
 }
 
-object LakeTable {
-
-  /** Build from named columns of doubles (the common numeric case). */
-  def numericTable(meta: TableMeta, cols: (String, Array[Double])*): LakeTable =
-    LakeTable(meta, cols.toVector.map { case (n, vs) => n -> vs.map(v => Some(v.toString): Option[String]) })
-}
-
 /** A data repository (Definition 2): a set of possibly noisy tables. */
 final case class Lake(tables: Vector[LakeTable]) {
   require(tables.map(_.meta.name).distinct.size == tables.size, "duplicate table names in lake")

@@ -48,17 +48,23 @@ final case class Scenario(
     spec: ScenarioSpec,
     input: LakeTable,
     lake: Lake,
-    keyCol: String,
-    targetCol: String,
     profileTargetCol: String,
     task: Task,
     tableSignal: Map[String, Int],
 ) {
   /** Ground-truth signal carried by an augmented column, if any. */
-  def signalOf(colName: String): Option[Int] =
-    tableSignal.collectFirst { case (t, s) if colName.contains(s"__${t}__") => s }
+  def signalOf(colName: String): Option[Int] = Scenario.signalOf(tableSignal)(colName)
 
   def groundTruthTables: Set[String] = tableSignal.keySet
+}
+
+object Scenario {
+
+  /** The signal of the planted table an augmented column was joined from,
+    * by its `__table__` name part, if `tableSignal` plants one.
+    */
+  def signalOf(tableSignal: Map[String, Int])(colName: String): Option[Int] =
+    tableSignal.collectFirst { case (t, s) if colName.contains(s"__${t}__") => s }
 }
 
 /** Deterministic generator for all evaluation scenarios. */
@@ -197,19 +203,17 @@ object ScenarioGen {
 
     val signalMap = tableSignal.result()
     val lake = Lake(tables.result())
-    val sigOf: String => Option[Int] =
-      colName => signalMap.collectFirst { case (t, s) if colName.contains(s"__${t}__") => s }
 
     val task: Task = spec.kind match {
       case TaskKind.Causal =>
-        Tasks.CausalTask(spec.name, targetCol, Set("key"), sigOf, k)
+        Tasks.CausalTask(spec.name, targetCol, Set("key"), Scenario.signalOf(signalMap), k)
       case TaskKind.Classification =>
         Tasks.ClassificationTask(spec.name, targetCol, Set("key"))
       case TaskKind.Regression =>
         Tasks.RegressionTask(spec.name, targetCol, Set("key"))
     }
 
-    Scenario(spec, input, lake, "key", targetCol, targetCol, task, signalMap)
+    Scenario(spec, input, lake, targetCol, task, signalMap)
   }
 
   /** The six Table II scenarios: four causal-analysis datasets (labelled
@@ -306,7 +310,7 @@ object ScenarioGen {
     val task = Tasks.EntityLinkingTask("entity_linking", "city", kb, truth, Set("key", "metric"))
     Scenario(
       ScenarioSpec("entity_linking", TaskKind.Classification, rows = n, seed = seed),
-      input, Lake(tables.result()), "key", "metric", "metric", task, Map("state_lookup" -> 0),
+      input, Lake(tables.result()), "metric", task, Map("state_lookup" -> 0),
     )
   }
 
@@ -377,7 +381,7 @@ object ScenarioGen {
     val task = Tasks.FairClassificationTask("fair_credit", "target", "sensitive", Set("key"))
     Scenario(
       ScenarioSpec("fair_credit", TaskKind.Classification, rows = n, seed = seed),
-      input, Lake(tables.result()), "key", "target", "target", task, tableSignal.result(),
+      input, Lake(tables.result()), "target", task, tableSignal.result(),
     )
   }
 
@@ -418,7 +422,7 @@ object ScenarioGen {
     val task = Tasks.ClusteringTask("satiety_clustering", 3, Set("key"))
     Scenario(
       ScenarioSpec("satiety_clustering", TaskKind.Classification, rows = n, seed = seed),
-      input, Lake(tables.result()), "key", "satiety", "satiety", task, Map("oni_scores" -> 0),
+      input, Lake(tables.result()), "satiety", task, Map("oni_scores" -> 0),
     )
   }
 }

@@ -34,13 +34,6 @@ class BaselinesSpec extends SparkSpec {
     assert(res.utility >= 0.7)
   }
 
-  test("iARDA follows the corr+mi ranking (useful table first)") {
-    val e = env(10)
-    val res = Baselines.iArda(e.cands, e.profiles, e.util(100), theta = 0.7)
-    assert(res.queriesUsed <= 3)
-    assert(res.method == "iARDA")
-  }
-
   test("uniform sampling is deterministic per seed and varies across seeds") {
     val e1 = env(20)
     val r1 = Baselines.uniformSampling(e1.cands, e1.util(100), 0.7, seed = 5)
@@ -62,26 +55,6 @@ class BaselinesSpec extends SparkSpec {
     val e = TestEnv.build(spark, 40, _ => 0.2)
     val res = Baselines.multiplicativeWeights(e.cands, e.profiles, e.util(10), theta = 0.9)
     assert(res.queriesUsed <= 10)
-  }
-
-  test("joinEverything issues a single augmentation query") {
-    val e = env(6)
-    val res = Baselines.joinEverything(e.cands, e.util(100))
-    assert(res.solution.size == 6)
-    assert(res.utility >= 0.7) // contains table 0
-    assert(res.queriesUsed <= 2)
-  }
-
-  test("exhaustive finds a size-minimal solution") {
-    val e = TestEnv.build(spark, 4, s => if (s.contains(1) && s.contains(3)) 0.9 else 0.1)
-    val res = Baselines.exhaustive(e.cands, e.util(100), theta = 0.9)
-    assert(res.solution.map(_.id).toSet == Set(1, 3))
-  }
-
-  test("exhaustive returns empty when theta is unreachable within budget") {
-    val e = TestEnv.build(spark, 3, _ => 0.1)
-    val res = Baselines.exhaustive(e.cands, e.util(20), theta = 0.9)
-    assert(res.solution.isEmpty)
   }
 
   test("baseline curves are monotone non-decreasing") {

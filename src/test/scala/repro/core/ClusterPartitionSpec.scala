@@ -113,12 +113,6 @@ class ClusterPartitionSpec extends AnyFunSuite with PropSupport {
       assert(ClusterPartition.distance(vs(c.centers(i)), vs(c.centers(j))) > eps)
   }
 
-  test("singletons puts every candidate in its own cluster") {
-    val c = ClusterPartition.singletons(5)
-    assert(c.nClusters == 5)
-    (0 until 5).foreach(i => assert(c.clusterOf(i) == i && c.members(i) == Vector(i)))
-  }
-
   test("cluster rejects empty input and non-positive epsilon") {
     intercept[IllegalArgumentException](ClusterPartition.cluster(Vector.empty, 0.1))
     intercept[IllegalArgumentException](ClusterPartition.cluster(Vector(Array(0.1)), 0.0))

@@ -6,16 +6,6 @@ class GroupSamplerSpec extends AnyFunSuite {
 
   private def cand(i: Int) = Candidate(i, Vector(JoinEdge("key", s"t$i", "key")), "v")
 
-  test("posterior mean starts at 1/2 and moves with rewards") {
-    val gs = new GroupSampler(3, seed = 1)
-    assert(gs.posteriorMean(0) == 0.5)
-    gs.record(0, success = true)
-    gs.record(0, success = true)
-    assert(gs.posteriorMean(0) == 0.75)
-    gs.record(1, success = false)
-    assert(gs.posteriorMean(1) < 0.5)
-  }
-
   test("sampleGroup draws at most t candidates, one per cluster") {
     val gs = new GroupSampler(4, seed = 2)
     val pools: Int => Vector[Candidate] = c => Vector(cand(c * 10), cand(c * 10 + 1))
@@ -44,16 +34,6 @@ class GroupSamplerSpec extends AnyFunSuite {
     val picks = (1 to 200).map(_ => gs.sampleGroup(1, pools).head.id)
     val share0 = picks.count(_ == 0).toDouble / picks.size
     assert(share0 > 0.8, s"expected cluster 0 to dominate, got $share0")
-  }
-
-  test("without Thompson sampling clusters are picked roughly uniformly") {
-    val gs = new GroupSampler(2, seed = 6, thompson = false)
-    (1 to 30).foreach(_ => gs.record(0, success = true))
-    (1 to 30).foreach(_ => gs.record(1, success = false))
-    val pools: Int => Vector[Candidate] = c => Vector(cand(c))
-    val picks = (1 to 400).map(_ => gs.sampleGroup(1, pools).head.id)
-    val share0 = picks.count(_ == 0).toDouble / picks.size
-    assert(share0 > 0.35 && share0 < 0.65, s"expected ~uniform, got $share0")
   }
 
   test("sampler is deterministic in the seed") {

@@ -59,37 +59,6 @@ class MetamSpec extends SparkSpec {
     assert(resM.queriesUsed < resU.queriesUsed)
   }
 
-  test("clustering prunes near-duplicate candidates (variant comparison)") {
-    // 3 clusters of 10 identical profiles each; only cluster of id<10 helps.
-    val n = 30
-    val env = TestEnv.build(
-      spark, n,
-      s => 0.1 + (if (s.exists(_ < 10)) 0.8 else 0.0),
-      i => if (i < 10) Array(0.6, 0.6, 0.6, 0.6, 0.6)
-      else if (i < 20) Array(0.3, 0.3, 0.3, 0.3, 0.3)
-      else Array(0.9, 0.1, 0.1, 0.1, 0.1),
-    )
-    val withC = Metam.run(env.cands, env.profiles, env.util(300), MetamConfig(theta = 0.85, seed = 8))
-    val noC = Metam.run(env.cands, env.profiles, env.util(300),
-      MetamConfig(theta = 0.85, seed = 8, useClustering = false))
-    assert(withC.utility >= 0.85)
-    assert(noC.utility >= 0.85)
-    assert(withC.queriesUsed <= noC.queriesUsed)
-  }
-
-  test("all ablation variants (Eq, Nc, NcEq) still find the solution") {
-    val env = plantedEnv(15)
-    val variants = Seq(
-      MetamConfig(theta = 0.9, seed = 9, useThompson = false),
-      MetamConfig(theta = 0.9, seed = 9, useClustering = false),
-      MetamConfig(theta = 0.9, seed = 9, useClustering = false, useThompson = false),
-    )
-    variants.foreach { cfg =>
-      val res = Metam.run(env.cands, env.profiles, env.util(300), cfg)
-      assert(res.utility >= 0.9 - 1e-9, s"variant $cfg failed with ${res.utility}")
-    }
-  }
-
   test("group querying can discover conjunctive (AND) utilities") {
     // Utility only rises when BOTH 2 and 3 are present — single probes see
     // nothing; the combinatorial mechanism must find the pair.
@@ -99,7 +68,7 @@ class MetamSpec extends SparkSpec {
       i => Array(0.5, 0.5, 0.5, 0.5, 0.5),
     )
     val res = Metam.run(env.cands, env.profiles, env.util(2000),
-      MetamConfig(theta = 0.85, seed = 10, groupRoundsPerSize = 4))
+      MetamConfig(theta = 0.85, seed = 10))
     assert(res.utility >= 0.85, s"got ${res.utility} with ${res.queriesUsed} queries")
     assert(res.solution.map(_.id).toSet == Set(2, 3))
   }
@@ -218,26 +187,5 @@ class MetamSpec extends SparkSpec {
         |3.7.8 0.3.7 3.4.7 2.3.7 1.3.7 5.7.9 5.7.8 0.5.7 4.5.7 2.5.7""",
       solution = Vector(7, 5, 2), utility = 0.9,
       curve = curveOf(104, (1, 0.1), (104, 0.9)))
-  }
-
-  test("pinned queries: without clustering (variant Nc)") {
-    assertPinned(pinnedRun(25,
-      s => 0.1 + (if (s(3)) 0.35 else 0.0) + (if (s(17)) 0.3 else 0.0) + (if (s(9) && s(14)) 0.3 else 0.0),
-      i => { val r = new scala.util.Random(1000 + i); Array.fill(5)(r.nextInt(20) / 20.0) },
-      200, MetamConfig(theta = 0.95, seed = 22, useClustering = false)),
-      queries = """- 22 6 15 4 12 2 3 20 17 14 11 0 21 24 18 1 10 7 13 19 23 8 5 16 9 3.17 2.3 3.20 3.22
-        |3.11 3.14 3.6 0.3 3.21 1.3 3.18 3.24 3.4 3.10 3.15 3.12 3.7 3.19 3.13 3.23 3.8 3.5 3.16
-        |3.9 2.3.17 3.17.20 3.17.22 3.11.17 3.14.17 3.6.17 0.3.17 3.17.21 1.3.17 3.17.18 3.17.24
-        |3.4.17 3.10.17 3.15.17 3.12.17 3.7.17 3.17.19 3.13.17 3.17.23 3.8.17 3.5.17 3.16.17
-        |3.9.17 2.17 17.20 17.22 11.17 14.17 6.17 0.17 17.21 1.17 17.18 17.24 4.17 10.17 15.17
-        |12.17 7.17 17.19 13.17 17.23 8.17 5.17 16.17 9.17 2.20 2.22 2.11 2.14 2.6 0.2 2.21 1.2
-        |2.18 2.24 2.4 2.10 2.15 2.12 2.7 2.19 2.13 2.23 2.8 2.5 2.16 2.9 20.22 11.20 14.20 6.20
-        |0.20 20.21 1.20 18.20 20.24 4.20 10.20 15.20 12.20 7.20 19.20 13.20 20.23 8.20 5.20
-        |16.20 9.20 11.22 14.22 6.22 0.22 21.22 1.22 18.22 22.24 4.22 10.22 15.22 12.22 7.22
-        |19.22 13.22 22.23 8.22 5.22 16.22 9.22 11.14 6.11 0.11 11.21 1.11 11.18 11.24 4.11 10.11
-        |11.15 11.12 7.11 11.19 11.13 11.23 8.11 5.11 11.16 9.11 6.14 0.14 14.21 1.14 14.18 14.24
-        |4.14 10.14 14.15 12.14 7.14 14.19 13.14 14.23 8.14 5.14 14.16 9.14 0.6 6.21 1.6 6.18""",
-      solution = Vector(3, 17), utility = 0.75,
-      curve = curveOf(200, (1, 0.1), (8, 0.44999999999999996), (27, 0.75)))
   }
 }

@@ -19,8 +19,7 @@ object TestEnv {
       profiles: Profiles,
       task: Task,
   ) {
-    def util(budget: Int, monotone: Boolean = true): CountingUtility =
-      new CountingUtility(engine, task, budget, monotone)
+    def util(budget: Int): CountingUtility = new CountingUtility(engine, task, budget)
   }
 
   /** Build an environment of `n` candidates.

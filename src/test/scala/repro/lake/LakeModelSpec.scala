@@ -41,11 +41,6 @@ class LakeModelSpec extends SparkSpec {
     }
   }
 
-  test("LakeTable.numericTable round-trips doubles") {
-    val t = LakeTable.numericTable(TableMeta("t", "s", Vector.empty, Vector.empty), "x" -> Array(1.0, 2.5))
-    assert(t.numeric("x").toSeq == Seq(Some(1.0), Some(2.5)))
-  }
-
   test("toDf carries __rowid aligned to driver rows") {
     val df = Oracle.toDf(spark, table("t1"))
     val rows = df.orderBy("__rowid").collect()
