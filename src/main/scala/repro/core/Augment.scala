@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentHashMap
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 
@@ -41,25 +42,31 @@ final case class Candidate(id: Int, edges: Vector[JoinEdge], valueCol: String) {
   *
   * Materialised columns are memoised: Γ(D_in, T ∪ {P}) shares P's column
   * with every other selection containing P, so a 1000-query search loop
-  * joins each candidate once. Next to each column the engine keeps its
-  * numeric view, parsed the first time a task or the profiler reads it;
-  * the input's columns are parsed once per engine in the same way. The
-  * tables [[localTable]] hands to tasks carry these views, so a query
-  * parses no cell another query of the same engine has parsed.
+  * joins each candidate once. [[column]] may be called from many threads
+  * at once (the profiler does): each candidate's column is computed once,
+  * and every caller gets that same array. Next to each column the engine
+  * keeps its numeric view, parsed the first time a task reads it; the
+  * input's columns are parsed once per engine in the same way. The tables
+  * [[localTable]] hands to tasks carry these views, so a query parses no
+  * cell another query of the same engine has parsed. Numeric views,
+  * [[numeric]] and [[localTable]] are for one thread at a time.
   *
   * @param spark unused, as Γ needs no Spark; kept in the constructor that
   *              `Runner` and the `metambench` harness call
   */
 final class AugmentEngine(spark: SparkSession, val input: LakeTable, val lake: Lake) {
 
-  private val memo = mutable.HashMap.empty[Int, Array[Option[String]]]
+  private val memo = new ConcurrentHashMap[Int, Array[Option[String]]]
   private val parsed = new ParsedColumns
 
   /** Number of candidate columns materialised so far (for efficiency tests). */
   def materializations: Int = memo.size
 
-  /** Materialised column of `c`, aligned to `input` row order; memoised. */
-  def column(c: Candidate): Array[Option[String]] = memo.getOrElseUpdate(c.id, {
+  /** Materialised column of `c`, aligned to `input` row order; memoised.
+    * Safe to call concurrently: a column is computed once, and every call
+    * for `c` returns the same array.
+    */
+  def column(c: Candidate): Array[Option[String]] = memo.computeIfAbsent(c.id, _ => {
     // Walking back, `reach` maps a join key of the hop just processed to
     // the smallest value reachable from it; before the last hop, a value
     // reaches itself.

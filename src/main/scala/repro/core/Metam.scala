@@ -72,7 +72,11 @@ object Metam {
       util: CountingUtility,
       cfg: MetamConfig = MetamConfig(),
   ): SearchResult = {
-    require(cands.nonEmpty, "no candidate augmentations")
+    if (cands.isEmpty) {
+      // Nothing to augment with: the input's own utility, if budget allows.
+      val u = safeQuery(util, Set.empty).getOrElse(0.0)
+      return SearchResult("METAM", Vector.empty, u, util.queries, util.curve)
+    }
     val n = cands.length
     val clustering = ClusterPartition.cluster(cands.map(profiles.of), cfg.epsilon, cfg.seed)
     val clusterOf = clustering.assignment // candidate index → cluster id

@@ -7,14 +7,17 @@ import repro.discovery.JoinDiscovery
 import repro.lake.Scenario
 import repro.profile.{Profiler, Profiles}
 
-/** End-to-end orchestration of one scenario: discovery (a driver-side
-  * containment index) → profiling (one driver-side estimator for every
-  * candidate over sample rows read and parsed from the Γ columns, which it
-  * materialises with driver-side joins, so the Γ prefetch after it finds
-  * every column in the memo) → run METAM and the baselines under a shared
-  * query budget. None of these runs a Spark job; the `spark` parameters
-  * are unused and kept for the callers. The augment engine (and its
-  * memoised Γ materialisations) is shared across methods — a query's
+/** End-to-end orchestration of one scenario: discovery (the lake's key
+  * cells probed against an index of the input's key values) → profiling
+  * (one driver-side estimator for every candidate over sample rows read and
+  * parsed from the Γ columns, which it materialises with driver-side joins,
+  * so the Γ prefetch after it finds every column in the memo) → run METAM
+  * and the baselines under a shared query budget. None of these runs a
+  * Spark job; the `spark` parameters are unused and kept for the callers.
+  * Scenario generation, discovery and profiling spread their per-table and
+  * per-candidate work over the driver's cores and give the same bits as
+  * one thread would; the search runs on one thread. The augment engine (and
+  * its memoised Γ materialisations) is shared across methods — a query's
   * *count* is per-method, its join is paid once, exactly as one
   * server-side cache would serve all competitors.
   */
@@ -31,13 +34,15 @@ object Runner {
       results: Map[String, SearchResult],
   )
 
-  /** Discover and profile candidates for `scenario` (no querying yet). */
+  /** Discover and profile candidates for `scenario` (no querying yet).
+    * A lake with nothing joinable gives no candidates, and every method
+    * then returns the input's own utility.
+    */
   def prepare(spark: SparkSession, scenario: Scenario,
               minContainment: Double = 0.03, maxHops: Int = 1,
              ): (AugmentEngine, Vector[Candidate], Profiles) = {
     val engine = new AugmentEngine(spark, scenario.input, scenario.lake)
     val candidates = JoinDiscovery.candidatesFor(spark, scenario.input, scenario.lake, minContainment, maxHops)
-    require(candidates.nonEmpty, s"discovery produced no candidates for ${scenario.spec.name}")
     val profiles = Profiler.profileAll(spark, engine, candidates, scenario.profileTargetCol)
     engine.prefetch(candidates)
     (engine, candidates, profiles)

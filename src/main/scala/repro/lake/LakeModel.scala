@@ -24,7 +24,7 @@ final case class TableMeta(
   * The driver copy is the ground truth: augmentation joins (and through
   * them profiling's sample rows) and the deterministic task
   * implementations read it directly, and discovery reads its key columns'
-  * distinct values. Values are stored as strings so one representation
+  * cells. Values are stored as strings so one representation
   * serves numeric columns, join keys, and entity names.
   */
 final case class LakeTable(
@@ -58,12 +58,12 @@ final case class Lake(tables: Vector[LakeTable]) {
 
   def size: Int = tables.size
 
-  /** Distinct non-null values of every key column, by (table, column) —
-    * what Aurum-lite's inverted index ([[repro.discovery.JoinDiscovery]])
-    * discovers joins over.
+  /** The non-null cells of every key column, by (table, column), in lake
+    * order — what Aurum-lite ([[repro.discovery.JoinDiscovery]]) discovers
+    * joins over. Each is a view of the column: no cell is copied.
     */
-  def keyColumns: Map[(String, String), Set[String]] =
-    (for (t <- tables; kc <- t.meta.keyCols) yield (t.meta.name, kc) -> t.column(kc).iterator.flatten.toSet).toMap
+  def keyColumns: Vector[((String, String), Iterable[String])] =
+    for (t <- tables; kc <- t.meta.keyCols) yield (t.meta.name, kc) -> t.column(kc).view.flatten
 }
 
 /** Column-oriented local view of an (augmented) dataset — what the

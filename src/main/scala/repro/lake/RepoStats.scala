@@ -55,9 +55,8 @@ object RepoStats {
     val nColumns = groups.filter(r => !r.isNullAt(0) && !r.isNullAt(1))
       .map(r => (r.getString(0), r.getString(1))).distinct.length.toLong
     val sizeBytes = groups.map(r => if (r.isNullAt(3)) 0L else r.getLong(3)).sum
-    val keyColumns = groups.filterNot(_.isNullAt(2))
+    val keyColumns = groups.filterNot(_.isNullAt(2)).toSeq
       .groupMap(r => (r.getString(0), r.getString(1)))(_.getString(2))
-      .map { case (k, vs) => k -> vs.toSet }
     val nJoinable = JoinDiscovery.joinablePairs(keyColumns, minContainment).size.toLong
     Characteristics(name, nTables, nColumns, nJoinable, sizeBytes)
   }

@@ -1,5 +1,6 @@
 package repro.lake
 
+import scala.collection.parallel.CollectionConverters._
 import scala.util.Random
 
 import repro.tasks.{Task, Tasks}
@@ -88,9 +89,37 @@ object ScenarioGen {
 
   private def gaussians(rnd: Random, n: Int): Array[Double] = Array.fill(n)(rnd.nextGaussian())
 
-  private def key(i: Int): String = f"K$i%05d"
+  /** `i` (≥ 0) in decimal, zero-padded on the left to `width` digits, as
+    * `%0<width>d` formats it.
+    */
+  private def padded(i: Int, width: Int): String = {
+    val s = Integer.toString(i)
+    if (s.length >= width) s else "0" * (width - s.length) + s
+  }
 
-  /** Build the generic planted-signal scenario for `spec`. */
+  /** The input's `i`-th join key, `K00042`. */
+  private def key(i: Int): String = "K" + padded(i, 5)
+
+  /** Row `r`'s key of erroneous table `j` (outside the input's keys), `X007_00042`. */
+  private def errorKey(j: Int, r: Int): String = "X" + padded(j, 3) + "_" + padded(r, 5)
+
+  /** A generated key/value table as drawn, before its cells are formatted:
+    * row `r` holds key `keyAt(r)` and value `values(r)`.
+    */
+  private final case class Draft(meta: TableMeta, valueCol: String, keyAt: Int => String, values: Array[Double]) {
+    def build: LakeTable = LakeTable(meta, Vector(
+      "key" -> Array.tabulate[Option[String]](values.length)(r => Some(keyAt(r))),
+      valueCol -> values.map(v => Some(v.toString): Option[String]),
+    ))
+  }
+
+  /** Build the generic planted-signal scenario for `spec`.
+    *
+    * Every random draw is made on the calling thread, in one fixed order;
+    * the cells (`Double.toString`, key strings) are formatted afterwards,
+    * one table per task on the parallel collections' default pool, and the
+    * tables are kept in the order they were drawn.
+    */
   def scenario(spec: ScenarioSpec): Scenario = {
     val rnd = new Random(spec.seed)
     val n = spec.rows
@@ -112,25 +141,15 @@ object ScenarioGen {
 
     val topic = Vector.tabulate(5)(i => s"${spec.name}_topic$i") ++ Vector("city", "year", "data")
     val inputMeta = TableMeta(s"${spec.name}_input", Sources.head, Vector("key"), topic)
-    val input = LakeTable(
-      inputMeta,
-      Vector(
-        "key" -> keys.map(Option(_)),
-        "bf1" -> gaussians(rnd, n).map(v => Option(v.toString)),
-        "bf2" -> gaussians(rnd, n).map(v => Option(v.toString)),
-        targetCol -> targetVals.map(v => Option(v.toString)),
-      ),
-    )
+    val bf1 = gaussians(rnd, n)
+    val bf2 = gaussians(rnd, n)
 
-    val tables = Vector.newBuilder[LakeTable]
+    val tables = Vector.newBuilder[Draft]
     val tableSignal = Map.newBuilder[String, Int]
 
     def numericTable(name: String, source: String, vocab: Vector[String], valueCol: String,
-                     rowKeys: Array[String], values: Array[Double]): LakeTable =
-      LakeTable(
-        TableMeta(name, source, Vector("key"), vocab),
-        Vector("key" -> rowKeys.map(Option(_)), valueCol -> values.map(v => Option(v.toString): Option[String])),
-      )
+                     keyAt: Int => String, values: Array[Double]): Draft =
+      Draft(TableMeta(name, source, Vector("key"), vocab), valueCol, keyAt, values)
 
     def covered(coverage: Double, r: Random): Array[Int] =
       (0 until n).filter(_ => r.nextDouble() < coverage).toArray
@@ -143,7 +162,7 @@ object ScenarioGen {
         name, Sources(i % Sources.length),
         topic.take(3) ++ Vector(s"${spec.name}_sig$i", "stats"),
         f"feat$i%02d",
-        cov.map(keys), cov.map(r => signals(i)(r) + PlantedNoise * rnd.nextGaussian()),
+        r => keys(cov(r)), cov.map(r => signals(i)(r) + PlantedNoise * rnd.nextGaussian()),
       )
       tableSignal += name -> i
       for (d <- 0 until spec.dupsPerPlanted) {
@@ -153,7 +172,7 @@ object ScenarioGen {
           dn, Sources((i + d) % Sources.length),
           topic.take(3) ++ Vector(s"${spec.name}_sig$i", "stats"),
           f"feat$i%02d",
-          cov2.map(keys), cov2.map(r => signals(i)(r) + DupNoise * rnd.nextGaussian()),
+          r => keys(cov2(r)), cov2.map(r => signals(i)(r) + DupNoise * rnd.nextGaussian()),
         )
         tableSignal += dn -> i
       }
@@ -167,7 +186,7 @@ object ScenarioGen {
       tables += numericTable(
         f"${spec.name}%s_topicirr$j%03d", Sources(j % Sources.length),
         topic.take(3) ++ Vector(s"extra$j", "stats"),
-        f"tmetric$j%03d", keys, gaussians(rnd, n),
+        f"tmetric$j%03d", keys(_), gaussians(rnd, n),
       )
     }
 
@@ -177,7 +196,7 @@ object ScenarioGen {
       tables += numericTable(
         f"${spec.name}%s_irr$j%03d", Sources(rnd.nextInt(Sources.length)),
         Vector.fill(4)(s"rand${rnd.nextInt(100000)}"),
-        f"metric$j%03d", keys, irrValues(j),
+        f"metric$j%03d", keys(_), irrValues(j),
       )
     }
     for (d <- 0 until spec.nIrrelevantDups) {
@@ -185,24 +204,32 @@ object ScenarioGen {
       tables += numericTable(
         f"${spec.name}%s_irr$j%03d_dup$d", Sources(rnd.nextInt(Sources.length)),
         Vector.fill(4)(s"rand${rnd.nextInt(100000)}"),
-        f"metric$j%03d", keys, irrValues(j).map(_ + DupNoise * rnd.nextGaussian()),
+        f"metric$j%03d", keys(_), irrValues(j).map(_ + DupNoise * rnd.nextGaussian()),
       )
     }
 
     // Erroneous join paths: keys mostly outside D_in's domain.
     for (j <- 0 until spec.nErroneous) {
-      val errKeys = Array.tabulate(n) { r =>
-        if (rnd.nextDouble() < ErroneousOverlap) keys(rnd.nextInt(n)) else f"X${j}%03d_$r%05d"
-      }
+      // The input key each row matches, or −1 for the table's own key.
+      val matched = Array.tabulate(n)(_ => if (rnd.nextDouble() < ErroneousOverlap) rnd.nextInt(n) else -1)
       tables += numericTable(
         f"${spec.name}%s_err$j%03d", Sources(rnd.nextInt(Sources.length)),
         Vector.fill(4)(s"rand${rnd.nextInt(100000)}"),
-        f"emetric$j%03d", errKeys, gaussians(rnd, n),
+        f"emetric$j%03d", r => if (matched(r) >= 0) keys(matched(r)) else errorKey(j, r), gaussians(rnd, n),
       )
     }
 
+    val input = LakeTable(
+      inputMeta,
+      Vector(
+        "key" -> keys.map(Option(_)),
+        "bf1" -> bf1.map(v => Option(v.toString)),
+        "bf2" -> bf2.map(v => Option(v.toString)),
+        targetCol -> targetVals.map(v => Option(v.toString)),
+      ),
+    )
     val signalMap = tableSignal.result()
-    val lake = Lake(tables.result())
+    val lake = Lake(tables.result().par.map(_.build).seq)
 
     val task: Task = spec.kind match {
       case TaskKind.Causal =>
@@ -298,7 +325,7 @@ object ScenarioGen {
       )
     }
     for (j <- 0 until 34) {
-      val errKeys = Array.tabulate(n)(r => if (rnd.nextDouble() < 0.08) keys(rnd.nextInt(n)) else f"X${j}%03d_$r%05d")
+      val errKeys = Array.tabulate(n)(r => if (rnd.nextDouble() < 0.08) keys(rnd.nextInt(n)) else errorKey(j, r))
       tables += LakeTable(
         TableMeta(f"kaggle_err$j%03d", Sources(rnd.nextInt(Sources.length)), Vector("key"),
           Vector.fill(4)(s"rand${rnd.nextInt(100000)}")),

@@ -1,6 +1,7 @@
 package repro.profile
 
 import org.apache.spark.sql.SparkSession
+import scala.collection.parallel.CollectionConverters._
 import scala.util.hashing.MurmurHash3
 
 import repro.core.{AugmentEngine, Candidate}
@@ -50,6 +51,12 @@ object Profiler {
     * `prefetch`). The estimator depends only on the set of sample rows, so
     * a candidate's profiles depend only on its Γ column.
     *
+    * Candidates are profiled in parallel, one per task on the parallel
+    * collections' default pool. A candidate's work (its Γ column, sample
+    * rows, estimator, embedding and metadata similarity) reads only its own
+    * inputs, and the results are kept in candidate order, so the profiles
+    * do not depend on the schedule.
+    *
     * @param spark unused, as profiling needs no Spark; kept in the
     *              signature that `Runner` and the `metambench` harness call
     */
@@ -64,7 +71,7 @@ object Profiler {
     val target = input.numeric(targetCol)
     val inputEmbedding = TokenEmbedding.embed(input.meta.vocabulary ++ input.columnNames)
     val inputAttrTokens = attributeTokens(input.columnNames.toSet)
-    val byId = cands.map { c =>
+    val byId = cands.par.map { c =>
       val (corrV, miV, overlapV) = sampleProfiles(sampleRows(engine, c, target, idx), idx.length)
       val t = engine.lake.table(c.table)
       val embedV = TokenEmbedding.similarity(inputEmbedding, TokenEmbedding.embed(t.meta.vocabulary ++ t.columnNames))
@@ -73,7 +80,7 @@ object Profiler {
         Stats.clamp01(corrV), Stats.clamp01(miV), Stats.clamp01(embedV),
         Stats.clamp01(metaV), Stats.clamp01(overlapV),
       )
-    }.toMap
+    }.seq.toMap
 
     Profiles(ProfileNames, byId)
   }

@@ -100,6 +100,40 @@ class AugmentSpec extends SparkSpec {
     assert(eng.materializations == 1)
   }
 
+  test("concurrent readers get each candidate's one column, equal to a sequential engine's") {
+    val rnd = new Random(11)
+    val in = t("input", "key" -> Seq.tabulate(200)(i => Some(s"k$i")))
+    def cell(p: Double, v: => String): Option[String] = if (rnd.nextDouble() < p) None else Some(v)
+    // Ten tables of 300 rows: repeated and null keys, five value columns each.
+    val tables = Vector.tabulate(10) { j =>
+      t(s"t$j", ("key" -> Seq.fill(300)(cell(0.1, s"k${rnd.nextInt(260)}"))) +:
+        (0 until 5).map(v => s"v$v" -> Seq.fill(300)(cell(0.2, rnd.nextInt(1000).toString))): _*)
+    }
+    val cands = for (j <- tables.indices; v <- 0 until 5)
+      yield Candidate(j * 5 + v, Vector(JoinEdge("key", s"t$j", "key")), s"v$v")
+    val eng = new AugmentEngine(spark, in, Lake(tables))
+    val threads = 8
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(threads)
+    val reads = try {
+      val start = new java.util.concurrent.CountDownLatch(1)
+      val jobs = (0 until threads).map { k =>
+        pool.submit(new java.util.concurrent.Callable[Seq[(Int, Array[Option[String]])]] {
+          def call() = { start.await(); new Random(k).shuffle(cands ++ cands).map(c => c.id -> eng.column(c)) }
+        })
+      }
+      start.countDown()
+      jobs.flatMap(_.get())
+    } finally pool.shutdownNow()
+
+    assert(eng.materializations == cands.size)
+    val sequential = new AugmentEngine(spark, in, Lake(tables))
+    reads.groupMap(_._1)(_._2).foreach { case (id, arrays) =>
+      assert(arrays.size == 2 * threads)
+      assert(arrays.forall(_ eq arrays.head), s"candidate $id: readers got different arrays")
+      assert(arrays.head.sameElements(sequential.column(cands(id))), s"candidate $id: column differs")
+    }
+  }
+
   test("prefetch batches one-hop candidates and matches per-candidate joins") {
     val other = t("other", "key" -> Seq(Some("a"), Some("c")), "w" -> Seq(Some("5"), Some("7")))
     val c2 = Candidate(1, Vector(JoinEdge("key", "other", "key")), "w")

@@ -97,11 +97,13 @@ class MetamSpec extends SparkSpec {
     assert(a.queriesUsed == b.queriesUsed)
   }
 
-  test("rejects an empty candidate set") {
+  test("an empty candidate set gives the base utility and an empty solution") {
     val env = plantedEnv(3)
-    intercept[IllegalArgumentException] {
-      Metam.run(Vector.empty, env.profiles, env.util(10), MetamConfig())
-    }
+    val res = Metam.run(Vector.empty, env.profiles, env.util(10), MetamConfig())
+    assert(res.solution.isEmpty && math.abs(res.utility - 0.1) < 1e-12 && res.queriesUsed == 1)
+    assert(res.curve == Vector((1, res.utility)))
+    val broke = Metam.run(Vector.empty, env.profiles, env.util(0), MetamConfig())
+    assert(broke.solution.isEmpty && broke.utility == 0.0 && broke.queriesUsed == 0 && broke.curve.isEmpty)
   }
 
   // ----- pinned query sequences: seeded runs whose every fresh query, in

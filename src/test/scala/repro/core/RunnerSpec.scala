@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.lake.{ScenarioGen, ScenarioSpec, TaskKind}
+import repro.lake.{Lake, LakeTable, LocalTable, ScenarioGen, ScenarioSpec, TableMeta, TaskKind}
 
 class RunnerSpec extends SparkSpec {
 
@@ -41,6 +41,20 @@ class RunnerSpec extends SparkSpec {
     val budget = 40
     val run = Runner.run(spark, s, theta = 1.0, budget = budget, methods = Seq("METAM", "Uniform"))
     assert(run.results("METAM").utilityAt(budget) >= run.results("Uniform").utilityAt(budget))
+  }
+
+  test("a lake with nothing joinable gives no candidates, and every method returns the input's utility") {
+    val s = ScenarioGen.scenario(spec)
+    val noJoins = s.copy(lake = Lake(Vector(LakeTable(TableMeta("foreign", "src", Vector("key"), Vector.empty),
+      Vector("key" -> Array(Some("nope")), "v" -> Array(Some("1")))))))
+    val (_, cands, profiles) = Runner.prepare(spark, noJoins)
+    assert(cands.isEmpty && profiles.byId.isEmpty)
+    val base = s.task.utility(LocalTable(s.input.columns))
+    val run = Runner.run(spark, noJoins, theta = 1.0, budget = 10)
+    assert(run.results.keySet == Runner.DefaultMethods.toSet)
+    run.results.values.foreach { r =>
+      assert(r.solution.isEmpty && r.utility == base && r.queriesUsed == 1, r)
+    }
   }
 
   test("unknown method names are rejected") {

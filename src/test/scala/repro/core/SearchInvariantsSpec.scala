@@ -7,7 +7,8 @@ import repro.{PropSupport, SparkSpec}
 import repro.baselines.Baselines
 
 /** Invariants that METAM and every baseline keep on small random
-  * set-function environments, at query budgets 0, 1 and 30. The utility
+  * set-function environments of 0 to 6 candidates, at query budgets 0, 1
+  * and 30. The utility
   * of a selection is an arbitrary value per subset, so it need be neither
   * monotone nor additive, and profiles lie on a coarse grid, so
   * candidates often share a profile and a cluster.
@@ -18,7 +19,7 @@ class SearchInvariantsSpec extends SparkSpec with PropSupport {
   private val Budgets = Seq(0, 1, 30)
 
   private val worlds: Gen[World] = for {
-    n <- Gen.choose(1, 6)
+    n <- Gen.choose(0, 6)
     utilities <- Gen.listOfN(1 << n, Gen.choose(0, 10).map(_ / 10.0))
     profiles <- Gen.listOfN(n, Gen.listOfN(5, Gen.choose(0, 4).map(_ / 4.0)).map(_.toArray))
     theta <- Gen.choose(0.3, 1.0)

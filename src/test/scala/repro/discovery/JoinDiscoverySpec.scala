@@ -86,26 +86,45 @@ class JoinDiscoverySpec extends SparkSpec {
     assertPairsMatchOracle(lakeOf(input, full, partial), 0.01, None)
   }
 
+  /** A random lake with null, repeated and multi-column keys, anchored at a table "input". */
+  private def randomLake(seed: Long): Lake = {
+    val rnd = new Random(seed)
+    def cells(n: Int, domain: Int, nullRate: Double): Seq[String] =
+      Seq.fill(n)(if (rnd.nextDouble() < nullRate) null else s"k${rnd.nextInt(domain)}")
+    def keyed(name: String, keys: (String, Seq[String])*): LakeTable = {
+      val n = keys.head._2.size
+      LakeTable(TableMeta(name, "src", keys.map(_._1).toVector, Vector(name)),
+        keys.toVector.map { case (c, vs) => c -> vs.map(Option(_)).toArray } :+
+          ("v" -> Array.tabulate(n)(i => Option(s"$name$i"))))
+    }
+    lakeOf(
+      keyed("input", "key" -> cells(20, 12, 0.1)),
+      keyed("repeats", "key" -> cells(30, 6, 0.2)), // few values, each repeated
+      keyed("two", "key" -> cells(15, 16, 0.1), "k2" -> cells(15, 24, 0.3)),
+      keyed("nulls", "key" -> Seq.fill(10)(null)), // all-null key column
+      keyed("wide", "key" -> cells(25, 30, 0.05)),
+    )
+  }
+
   test("random lakes with null, repeated and multi-column keys match the DuckDB oracle") {
     Seq(1L, 2L, 3L).foreach { seed =>
-      val rnd = new Random(seed)
-      def cells(n: Int, domain: Int, nullRate: Double): Seq[String] =
-        Seq.fill(n)(if (rnd.nextDouble() < nullRate) null else s"k${rnd.nextInt(domain)}")
-      def keyed(name: String, keys: (String, Seq[String])*): LakeTable = {
-        val n = keys.head._2.size
-        LakeTable(TableMeta(name, "src", keys.map(_._1).toVector, Vector(name)),
-          keys.toVector.map { case (c, vs) => c -> vs.map(Option(_)).toArray } :+
-            ("v" -> Array.tabulate(n)(i => Option(s"$name$i"))))
-      }
-      val lake = lakeOf(
-        keyed("input", "key" -> cells(20, 12, 0.1)),
-        keyed("repeats", "key" -> cells(30, 6, 0.2)), // few values, each repeated
-        keyed("two", "key" -> cells(15, 16, 0.1), "k2" -> cells(15, 24, 0.3)),
-        keyed("nulls", "key" -> Seq.fill(10)(null)), // all-null key column
-        keyed("wide", "key" -> cells(25, 30, 0.05)),
-      )
+      val lake = randomLake(seed)
       assertPairsMatchOracle(lake, 0.3, Some("input")) // 1-hop discovery
       assertPairsMatchOracle(lake, 0.3, None) // 2-hop discovery
+    }
+  }
+
+  test("anchored discovery equals the all-pairs result filtered to the anchor, to the bit") {
+    (1L to 30L).foreach { seed =>
+      val lake = randomLake(seed)
+      Seq(0.0, 0.3, 0.6).foreach { minContainment =>
+        val anchored = JoinDiscovery.joinablePairs(lake.keyColumns, minContainment, Some(Set("input")))
+        val all = JoinDiscovery.joinablePairs(lake.keyColumns, minContainment)
+        val expected = all.filter(_.leftTable == "input")
+        assert(anchored == expected, s"seed $seed, minContainment $minContainment")
+        assert(anchored.map(p => java.lang.Double.doubleToRawLongBits(p.containment)) ==
+          expected.map(p => java.lang.Double.doubleToRawLongBits(p.containment)))
+      }
     }
   }
 

@@ -68,7 +68,7 @@ class LakeModelSpec extends SparkSpec {
     intercept[RuntimeException](lake.table("nope"))
   }
 
-  test("keyColumns lists each key column's distinct non-null values") {
+  test("keyColumns lists each key column's non-null cells in lake order") {
     val twoKeys = LakeTable(
       TableMeta("t2", "src", Vector("key", "k2"), Vector("tok")),
       Vector(
@@ -78,10 +78,10 @@ class LakeModelSpec extends SparkSpec {
       ),
     )
     val lake = Lake(Vector(table("t1"), twoKeys))
-    assert(lake.keyColumns == Map(
-      ("t1", "key") -> Set("a", "b", "c"),
-      ("t2", "key") -> Set("a", "b"),
-      ("t2", "k2") -> Set.empty[String],
+    assert(lake.keyColumns.map { case (col, cells) => col -> cells.toVector } == Vector(
+      ("t1", "key") -> Vector("a", "b", "c"),
+      ("t2", "key") -> Vector("a", "a", "b"),
+      ("t2", "k2") -> Vector.empty[String],
     ))
   }
 
