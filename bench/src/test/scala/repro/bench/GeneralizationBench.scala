@@ -3,7 +3,7 @@ package repro.bench
 import repro.{ProfileDigest, SparkSpec}
 import repro.core.{Runner, SearchResult}
 import repro.core.Runner.ScenarioRun
-import repro.lake.{Scenario, ScenarioGen, ScenarioSpec, TaskKind}
+import repro.lake.{ScenarioGen, ScenarioSpec, TaskKind}
 
 /** Reproduces the §VI-A-4 generalization experiments reported in the text
   * (entity linking, fair classification, clustering) and the §VI-A-3

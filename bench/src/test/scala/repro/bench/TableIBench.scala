@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.jobs.TableIJob
-import repro.lake.RepoStats
 
 /** Reproduces **Table I** (characteristics of the data repositories).
   *

@@ -20,13 +20,14 @@ final class GroupSampler(nClusters: Int, seed: Long) {
   def record(cluster: Int, success: Boolean): Unit =
     if (success) successes(cluster) += 1 else failures(cluster) += 1
 
-  /** Beta(1+s, 1+f) draw via the Jöhnk/gamma-free approximation: the mean
-    * of `s+f+1` uniforms ordered — we use the simpler inverse-free method
-    * of drawing the max of shape parameters with uniform powers, which is
-    * exact for Beta(a,1) and Beta(1,b) and adequate as a ranking signal.
+  /** A Beta(a, b) draw by Jöhnk's algorithm, at most 100 tries: each try
+    * draws x = U^(1/a) and y = V^(1/b) from two uniforms U, V and, if
+    * x + y ≤ 1, returns x / (x + y). If no try is accepted it returns the
+    * posterior mean a / (a + b). A try is accepted with probability
+    * Γ(a+1)Γ(b+1)/Γ(a+b+1), so only about 30% of Beta(3, 10) draws are
+    * accepted within the 100 tries; the rest are the mean.
     */
   private def betaDraw(a: Double, b: Double): Double = {
-    // Draw via the ratio of powered uniforms (Jöhnk's algorithm).
     var x = 0.0; var y = 0.0
     var tries = 0
     do {

@@ -68,7 +68,13 @@ object Scenario {
     tableSignal.collectFirst { case (t, s) if colName.contains(s"__${t}__") => s }
 }
 
-/** Deterministic generator for all evaluation scenarios. */
+/** Deterministic generator for all evaluation scenarios.
+  *
+  * Every generator makes all its random draws on the calling thread, in
+  * one fixed order, into `Draft`s; the cells are formatted
+  * afterwards by `Draft.build`, the lake's tables one per task on the
+  * parallel collections' default pool, kept in the order they were drawn.
+  */
 object ScenarioGen {
 
   private val Sources = Vector("portal_nyc", "portal_chi", "portal_kaggle")
@@ -103,23 +109,51 @@ object ScenarioGen {
   /** Row `r`'s key of erroneous table `j` (outside the input's keys), `X007_00042`. */
   private def errorKey(j: Int, r: Int): String = "X" + padded(j, 3) + "_" + padded(r, 5)
 
-  /** A generated key/value table as drawn, before its cells are formatted:
-    * row `r` holds key `keyAt(r)` and value `values(r)`.
+  /** A generated table as drawn, before its cells are formatted: row `r`
+    * holds key `keyAt(r)` and, in each column `(name, cell)`, `cell(r)`.
     */
-  private final case class Draft(meta: TableMeta, valueCol: String, keyAt: Int => String, values: Array[Double]) {
-    def build: LakeTable = LakeTable(meta, Vector(
-      "key" -> Array.tabulate[Option[String]](values.length)(r => Some(keyAt(r))),
-      valueCol -> values.map(v => Some(v.toString): Option[String]),
-    ))
+  private final case class Draft(meta: TableMeta, rows: Int, keyAt: Int => String, cols: (String, Int => String)*) {
+    def build: LakeTable = LakeTable(meta, (("key", keyAt) +: cols.toVector).map { case (name, cell) =>
+      name -> Array.tabulate[Option[String]](rows)(r => Some(cell(r)))
+    })
   }
 
-  /** Build the generic planted-signal scenario for `spec`.
-    *
-    * Every random draw is made on the calling thread, in one fixed order;
-    * the cells (`Double.toString`, key strings) are formatted afterwards,
-    * one table per task on the parallel collections' default pool, and the
-    * tables are kept in the order they were drawn.
+  /** Cells of drawn numbers, as `Double.toString` formats them. */
+  private def numbers(xs: Array[Double]): Int => String = r => xs(r).toString
+
+  /** The lake of `drafts`, built one table per task, in draft order. */
+  private def lakeOf(drafts: Vector[Draft]): Lake = Lake(drafts.par.map(_.build).seq)
+
+  private def meta(name: String, source: String, vocab: Vector[String]): TableMeta =
+    TableMeta(name, source, Vector("key"), vocab)
+
+  /** Metadata with a random source, then `tokens` random vocabulary tokens. */
+  private def randomMeta(name: String, rnd: Random, tokens: Int = 4): TableMeta =
+    meta(name, Sources(rnd.nextInt(Sources.length)), Vector.fill(tokens)(s"rand${rnd.nextInt(100000)}"))
+
+  /** The rows of `0 until n` each kept with probability `coverage`. */
+  private def covered(n: Int, coverage: Double, rnd: Random): Array[Int] =
+    (0 until n).filter(_ => rnd.nextDouble() < coverage).toArray
+
+  /** An irrelevant table: random metadata, then a fresh Gaussian for every key. */
+  private def irrelevant(name: String, valueCol: String, keys: Array[String], rnd: Random, tokens: Int = 4): Draft = {
+    val m = randomMeta(name, rnd, tokens)
+    Draft(m, keys.length, keys(_), valueCol -> numbers(gaussians(rnd, keys.length)))
+  }
+
+  /** Erroneous table `j`: each row matches a random input key with
+    * probability `ErroneousOverlap`, else has its own key; then random
+    * metadata and a fresh Gaussian per row.
     */
+  private def erroneous(name: String, valueCol: String, j: Int, keys: Array[String], rnd: Random): Draft = {
+    val n = keys.length
+    // The input key each row matches, or −1 for the table's own key.
+    val matched = Array.tabulate(n)(_ => if (rnd.nextDouble() < ErroneousOverlap) rnd.nextInt(n) else -1)
+    val m = randomMeta(name, rnd)
+    Draft(m, n, r => if (matched(r) >= 0) keys(matched(r)) else errorKey(j, r), valueCol -> numbers(gaussians(rnd, n)))
+  }
+
+  /** Build the generic planted-signal scenario for `spec`. */
   def scenario(spec: ScenarioSpec): Scenario = {
     val rnd = new Random(spec.seed)
     val n = spec.rows
@@ -140,42 +174,24 @@ object ScenarioGen {
     }
 
     val topic = Vector.tabulate(5)(i => s"${spec.name}_topic$i") ++ Vector("city", "year", "data")
-    val inputMeta = TableMeta(s"${spec.name}_input", Sources.head, Vector("key"), topic)
-    val bf1 = gaussians(rnd, n)
-    val bf2 = gaussians(rnd, n)
+    val input = Draft(meta(s"${spec.name}_input", Sources.head, topic), n, keys(_),
+      "bf1" -> numbers(gaussians(rnd, n)), "bf2" -> numbers(gaussians(rnd, n)), targetCol -> numbers(targetVals))
 
     val tables = Vector.newBuilder[Draft]
     val tableSignal = Map.newBuilder[String, Int]
 
-    def numericTable(name: String, source: String, vocab: Vector[String], valueCol: String,
-                     keyAt: Int => String, values: Array[Double]): Draft =
-      Draft(TableMeta(name, source, Vector("key"), vocab), valueCol, keyAt, values)
-
-    def covered(coverage: Double, r: Random): Array[Int] =
-      (0 until n).filter(_ => r.nextDouble() < coverage).toArray
-
     // Planted informative tables + near-duplicates (carry the same signal).
-    for (i <- 0 until k) {
-      val cov = covered(PlantedCoverage, rnd)
-      val name = f"${spec.name}%s_sig$i%02d"
-      tables += numericTable(
-        name, Sources(i % Sources.length),
-        topic.take(3) ++ Vector(s"${spec.name}_sig$i", "stats"),
-        f"feat$i%02d",
-        r => keys(cov(r)), cov.map(r => signals(i)(r) + PlantedNoise * rnd.nextGaussian()),
-      )
+    def planted(name: String, i: Int, source: Int, noise: Double): Unit = {
+      val cov = covered(n, PlantedCoverage, rnd)
+      val vocab = topic.take(3) ++ Vector(s"${spec.name}_sig$i", "stats")
+      val values = cov.map(r => signals(i)(r) + noise * rnd.nextGaussian())
+      tables += Draft(meta(name, Sources(source % Sources.length), vocab), cov.length, r => keys(cov(r)),
+        f"feat$i%02d" -> numbers(values))
       tableSignal += name -> i
-      for (d <- 0 until spec.dupsPerPlanted) {
-        val cov2 = covered(PlantedCoverage, rnd)
-        val dn = f"${spec.name}%s_sig$i%02d_dup$d"
-        tables += numericTable(
-          dn, Sources((i + d) % Sources.length),
-          topic.take(3) ++ Vector(s"${spec.name}_sig$i", "stats"),
-          f"feat$i%02d",
-          r => keys(cov2(r)), cov2.map(r => signals(i)(r) + DupNoise * rnd.nextGaussian()),
-        )
-        tableSignal += dn -> i
-      }
+    }
+    for (i <- 0 until k) {
+      planted(f"${spec.name}%s_sig$i%02d", i, i, PlantedNoise)
+      for (d <- 0 until spec.dupsPerPlanted) planted(f"${spec.name}%s_sig$i%02d_dup$d", i, i + d, DupNoise)
     }
 
     // Topic-sharing but uninformative tables: same topic-token overlap with
@@ -183,54 +199,27 @@ object ScenarioGen {
     // separate useful from useless (the paper's premise that no single
     // profile ranks well).
     for (j <- 0 until spec.nTopicIrrelevant) {
-      tables += numericTable(
-        f"${spec.name}%s_topicirr$j%03d", Sources(j % Sources.length),
-        topic.take(3) ++ Vector(s"extra$j", "stats"),
-        f"tmetric$j%03d", keys(_), gaussians(rnd, n),
-      )
+      val vocab = topic.take(3) ++ Vector(s"extra$j", "stats")
+      tables += Draft(meta(f"${spec.name}%s_topicirr$j%03d", Sources(j % Sources.length), vocab), n, keys(_),
+        f"tmetric$j%03d" -> numbers(gaussians(rnd, n)))
     }
 
     // Irrelevant tables: correct joins, full coverage, random vocabulary.
     val irrValues = Vector.fill(spec.nIrrelevant)(gaussians(rnd, n))
     for (j <- 0 until spec.nIrrelevant) {
-      tables += numericTable(
-        f"${spec.name}%s_irr$j%03d", Sources(rnd.nextInt(Sources.length)),
-        Vector.fill(4)(s"rand${rnd.nextInt(100000)}"),
-        f"metric$j%03d", keys(_), irrValues(j),
-      )
+      val m = randomMeta(f"${spec.name}%s_irr$j%03d", rnd)
+      tables += Draft(m, n, keys(_), f"metric$j%03d" -> numbers(irrValues(j)))
     }
     for (d <- 0 until spec.nIrrelevantDups) {
       val j = d % math.max(1, spec.nIrrelevant)
-      tables += numericTable(
-        f"${spec.name}%s_irr$j%03d_dup$d", Sources(rnd.nextInt(Sources.length)),
-        Vector.fill(4)(s"rand${rnd.nextInt(100000)}"),
-        f"metric$j%03d", keys(_), irrValues(j).map(_ + DupNoise * rnd.nextGaussian()),
-      )
+      val m = randomMeta(f"${spec.name}%s_irr$j%03d_dup$d", rnd)
+      tables += Draft(m, n, keys(_), f"metric$j%03d" -> numbers(irrValues(j).map(_ + DupNoise * rnd.nextGaussian())))
     }
 
     // Erroneous join paths: keys mostly outside D_in's domain.
-    for (j <- 0 until spec.nErroneous) {
-      // The input key each row matches, or −1 for the table's own key.
-      val matched = Array.tabulate(n)(_ => if (rnd.nextDouble() < ErroneousOverlap) rnd.nextInt(n) else -1)
-      tables += numericTable(
-        f"${spec.name}%s_err$j%03d", Sources(rnd.nextInt(Sources.length)),
-        Vector.fill(4)(s"rand${rnd.nextInt(100000)}"),
-        f"emetric$j%03d", r => if (matched(r) >= 0) keys(matched(r)) else errorKey(j, r), gaussians(rnd, n),
-      )
-    }
+    for (j <- 0 until spec.nErroneous) tables += erroneous(f"${spec.name}%s_err$j%03d", f"emetric$j%03d", j, keys, rnd)
 
-    val input = LakeTable(
-      inputMeta,
-      Vector(
-        "key" -> keys.map(Option(_)),
-        "bf1" -> bf1.map(v => Option(v.toString)),
-        "bf2" -> bf2.map(v => Option(v.toString)),
-        targetCol -> targetVals.map(v => Option(v.toString)),
-      ),
-    )
     val signalMap = tableSignal.result()
-    val lake = Lake(tables.result().par.map(_.build).seq)
-
     val task: Task = spec.kind match {
       case TaskKind.Causal =>
         Tasks.CausalTask(spec.name, targetCol, Set("key"), Scenario.signalOf(signalMap), k)
@@ -240,7 +229,7 @@ object ScenarioGen {
         Tasks.RegressionTask(spec.name, targetCol, Set("key"))
     }
 
-    Scenario(spec, input, lake, targetCol, task, signalMap)
+    Scenario(spec, input.build, lakeOf(tables.result()), targetCol, task, signalMap)
   }
 
   /** The six Table II scenarios: four causal-analysis datasets (labelled
@@ -296,48 +285,21 @@ object ScenarioGen {
       entries(rnd.nextInt(entries.length))
     }
     val truth = rowEntity.map(_._1)
-    val metric = gaussians(rnd, n)
+    val input = Draft(meta("cdc_cities", Sources.head, Vector("city", "state", "geo", "census")), n, keys(_),
+      "city" -> (rowCity(_)), "metric" -> numbers(gaussians(rnd, n)))
 
-    val topic = Vector("city", "state", "geo", "census")
-    val input = LakeTable(
-      TableMeta("cdc_cities", Sources.head, Vector("key"), topic),
-      Vector(
-        "key" -> keys.map(Option(_)),
-        "city" -> rowCity.map(Option(_)),
-        "metric" -> metric.map(v => Option(v.toString): Option[String]),
-      ),
-    )
-
-    val tables = Vector.newBuilder[LakeTable]
     // The ground-truth augmentation: per-row state of the true entity.
     // Named to sort after the kaggle_* tables so overlap ranking (which
     // ties at full coverage) does not find it by id-order luck.
-    tables += LakeTable(
-      TableMeta("state_lookup", Sources.head, Vector("key"), Vector("city", "state", "geo", "abbrev")),
-      Vector("key" -> keys.map(Option(_)), "state" -> rowEntity.map(e => Option(e._2): Option[String])),
-    )
-    for (j <- 0 until 150) {
-      tables += LakeTable(
-        TableMeta(f"kaggle_irr$j%03d", Sources(rnd.nextInt(Sources.length)), Vector("key"),
-          Vector.fill(4)(s"rand${rnd.nextInt(100000)}")),
-        Vector("key" -> keys.map(Option(_)),
-          f"metric$j%03d" -> gaussians(rnd, n).map(v => Option(v.toString): Option[String])),
-      )
-    }
-    for (j <- 0 until 34) {
-      val errKeys = Array.tabulate(n)(r => if (rnd.nextDouble() < 0.08) keys(rnd.nextInt(n)) else errorKey(j, r))
-      tables += LakeTable(
-        TableMeta(f"kaggle_err$j%03d", Sources(rnd.nextInt(Sources.length)), Vector("key"),
-          Vector.fill(4)(s"rand${rnd.nextInt(100000)}")),
-        Vector("key" -> errKeys.map(Option(_)),
-          f"emetric$j%03d" -> gaussians(rnd, n).map(v => Option(v.toString): Option[String])),
-      )
-    }
+    val stateLookup = Draft(meta("state_lookup", Sources.head, Vector("city", "state", "geo", "abbrev")), n, keys(_),
+      "state" -> (r => rowEntity(r)._2))
+    val irr = Vector.tabulate(150)(j => irrelevant(f"kaggle_irr$j%03d", f"metric$j%03d", keys, rnd))
+    val err = Vector.tabulate(34)(j => erroneous(f"kaggle_err$j%03d", f"emetric$j%03d", j, keys, rnd))
 
     val task = Tasks.EntityLinkingTask("entity_linking", "city", kb, truth, Set("key", "metric"))
     Scenario(
       ScenarioSpec("entity_linking", TaskKind.Classification, rows = n, seed = seed),
-      input, Lake(tables.result()), "metric", task, Map("state_lookup" -> 0),
+      input.build, lakeOf(stateLookup +: (irr ++ err)), "metric", task, Map("state_lookup" -> 0),
     )
   }
 
@@ -362,53 +324,29 @@ object ScenarioGen {
     val y = z.map(v => if (v > med) 1.0 else 0.0)
 
     val topic = Vector("credit", "income", "demographics")
-    val input = LakeTable(
-      TableMeta("credit_input", Sources.head, Vector("key"), topic),
-      Vector(
-        "key" -> keys.map(Option(_)),
-        "sensitive" -> sensitive.map(v => Option(v.toString): Option[String]),
-        "bf1" -> gaussians(rnd, n).map(v => Option(v.toString): Option[String]),
-        "target" -> y.map(v => Option(v.toString): Option[String]),
-      ),
-    )
+    val input = Draft(meta("credit_input", Sources.head, topic), n, keys(_),
+      "sensitive" -> numbers(sensitive), "bf1" -> numbers(gaussians(rnd, n)), "target" -> numbers(y))
 
-    val tables = Vector.newBuilder[LakeTable]
-    val tableSignal = Map.newBuilder[String, Int]
     // Unfair candidates: near-copies of the sensitive attribute — highly
     // correlated with the target, but discarded by the task.
-    for (j <- 0 until 60) {
-      tables += LakeTable(
-        TableMeta(f"credit_unfair$j%02d", Sources(j % Sources.length), Vector("key"), topic ++ Vector("age")),
-        Vector("key" -> keys.map(Option(_)),
-          f"ufeat$j%02d" -> sensitive.map(v => Option((v + 0.15 * rnd.nextGaussian()).toString): Option[String])),
-      )
-    }
+    val unfair = Vector.tabulate(60)(j =>
+      Draft(meta(f"credit_unfair$j%02d", Sources(j % Sources.length), topic ++ Vector("age")), n, keys(_),
+        f"ufeat$j%02d" -> numbers(sensitive.map(_ + 0.15 * rnd.nextGaussian()))))
     // Fair candidates: carry the fair signals, uncorrelated with sensitive.
     // Coverage is slightly below full so overlap ranking (ties broken by
     // id) puts the full-coverage unfair/irrelevant candidates first.
-    for (j <- 0 until 2) {
-      val name = f"credit_fair$j%02d"
-      val cov = (0 until n).filter(_ => rnd.nextDouble() < 0.9).toArray
-      tables += LakeTable(
-        TableMeta(name, Sources(j % Sources.length), Vector("key"), topic.take(1) ++ Vector("savings", "thrift")),
-        Vector("key" -> cov.map(i => Option(keys(i))),
-          f"ffeat$j%02d" -> cov.map(i => Option((fairSignals(j)(i) + 0.2 * rnd.nextGaussian()).toString): Option[String])),
-      )
-      tableSignal += name -> j
+    val fair = Vector.tabulate(2) { j =>
+      val cov = covered(n, 0.9, rnd)
+      val values = cov.map(i => fairSignals(j)(i) + 0.2 * rnd.nextGaussian())
+      Draft(meta(f"credit_fair$j%02d", Sources(j % Sources.length), topic.take(1) ++ Vector("savings", "thrift")),
+        cov.length, r => keys(cov(r)), f"ffeat$j%02d" -> numbers(values))
     }
-    for (j <- 0 until 120) {
-      tables += LakeTable(
-        TableMeta(f"credit_irr$j%03d", Sources(rnd.nextInt(Sources.length)), Vector("key"),
-          Vector.fill(4)(s"rand${rnd.nextInt(100000)}")),
-        Vector("key" -> keys.map(Option(_)),
-          f"metric$j%03d" -> gaussians(rnd, n).map(v => Option(v.toString): Option[String])),
-      )
-    }
+    val irr = Vector.tabulate(120)(j => irrelevant(f"credit_irr$j%03d", f"metric$j%03d", keys, rnd))
 
     val task = Tasks.FairClassificationTask("fair_credit", "target", "sensitive", Set("key"))
     Scenario(
       ScenarioSpec("fair_credit", TaskKind.Classification, rows = n, seed = seed),
-      input, Lake(tables.result()), "target", task, tableSignal.result(),
+      input.build, lakeOf(unfair ++ fair ++ irr), "target", task, fair.map(_.meta.name).zipWithIndex.toMap,
     )
   }
 
@@ -423,33 +361,15 @@ object ScenarioGen {
     val satiety = category.map(c => c + 1.2 * rnd.nextGaussian())
 
     val topic = Vector("food", "nutrition", "ingredient")
-    val input = LakeTable(
-      TableMeta("products", Sources.head, Vector("key"), topic),
-      Vector(
-        "key" -> keys.map(Option(_)),
-        "satiety" -> satiety.map(v => Option(v.toString): Option[String]),
-      ),
-    )
-
-    val tables = Vector.newBuilder[LakeTable]
-    tables += LakeTable(
-      TableMeta("oni_scores", Sources.head, Vector("key"), topic :+ "oni"),
-      Vector("key" -> keys.map(Option(_)),
-        "oni" -> category.map(c => Option((c * 2.0 + 0.05 * rnd.nextGaussian()).toString): Option[String])),
-    )
-    for (j <- 0 until 7) {
-      tables += LakeTable(
-        TableMeta(f"food_irr$j%02d", Sources(rnd.nextInt(Sources.length)), Vector("key"),
-          Vector.fill(3)(s"rand${rnd.nextInt(100000)}")),
-        Vector("key" -> keys.map(Option(_)),
-          f"metric$j%02d" -> gaussians(rnd, n).map(v => Option(v.toString): Option[String])),
-      )
-    }
+    val input = Draft(meta("products", Sources.head, topic), n, keys(_), "satiety" -> numbers(satiety))
+    val oni = Draft(meta("oni_scores", Sources.head, topic :+ "oni"), n, keys(_),
+      "oni" -> numbers(category.map(c => c * 2.0 + 0.05 * rnd.nextGaussian())))
+    val irr = Vector.tabulate(7)(j => irrelevant(f"food_irr$j%02d", f"metric$j%02d", keys, rnd, tokens = 3))
 
     val task = Tasks.ClusteringTask("satiety_clustering", 3, Set("key"))
     Scenario(
       ScenarioSpec("satiety_clustering", TaskKind.Classification, rows = n, seed = seed),
-      input, Lake(tables.result()), "satiety", task, Map("oni_scores" -> 0),
+      input.build, lakeOf(oni +: irr), "satiety", task, Map("oni_scores" -> 0),
     )
   }
 }

@@ -22,6 +22,19 @@ object Tasks {
       vals.count >= 3 && vals.nonNull > 0 && vals.count.toDouble / vals.nonNull >= 0.9
     }
 
+  /** A forest trained on the `feats` columns of `Learners.split`'s training
+    * rows (split and forest seeded by `seed`): its predictions of the
+    * held-out rows, and their `targetCol` values (missing read as 0).
+    */
+  private def forestHoldout(table: LocalTable, targetCol: String, feats: Vector[String],
+                            seed: Long): (Array[Double], Array[Double]) = {
+    val y = table.numeric(targetCol).orElse(0.0)
+    val x = Learners.designMatrix(feats.map(table.numeric))
+    val (train, valid) = Learners.split(y.length, ValidFrac, seed)
+    val forest = Learners.trainForest(train.map(x), train.map(y), seed)
+    (valid.map(i => forest.predictRow(x(i))), valid.map(y))
+  }
+
   /** Supervised classification (paper: random-forest price / schools
     * tasks). Trains a forest on a deterministic split and returns the
     * validation F1 as utility.
@@ -33,14 +46,10 @@ object Tasks {
   ) extends Task {
 
     def utility(table: LocalTable): Double = {
-      val y = table.numeric(targetCol).orElse(0.0)
       val feats = featureColumns(table, excluded + targetCol)
       if (feats.isEmpty) return 0.0
-      val x = Learners.designMatrix(feats.map(table.numeric))
-      val seed = 23L
-      val (train, valid) = Learners.split(y.length, ValidFrac, seed)
-      val forest = Learners.trainForest(train.map(x), train.map(y), seed)
-      Stats.clamp01(Stats.f1(valid.map(i => forest.predictRow(x(i))), valid.map(y)))
+      val (pred, actual) = forestHoldout(table, targetCol, feats, seed = 23L)
+      Stats.clamp01(Stats.f1(pred, actual))
     }
   }
 
@@ -55,15 +64,10 @@ object Tasks {
   ) extends Task {
 
     def utility(table: LocalTable): Double = {
-      val y = table.numeric(targetCol).orElse(0.0)
       val feats = featureColumns(table, excluded + targetCol)
       if (feats.isEmpty) return 0.0
-      val x = Learners.designMatrix(feats.map(table.numeric))
-      val seed = 29L
-      val (train, valid) = Learners.split(y.length, ValidFrac, seed)
-      val forest = Learners.trainForest(train.map(x), train.map(y), seed)
-      val pred = valid.map(i => forest.predictRow(x(i)))
-      Stats.clamp01(1.0 - Stats.mae(pred, valid.map(y)))
+      val (pred, actual) = forestHoldout(table, targetCol, feats, seed = 29L)
+      Stats.clamp01(1.0 - Stats.mae(pred, actual))
     }
   }
 
@@ -161,17 +165,13 @@ object Tasks {
   ) extends Task {
 
     def utility(table: LocalTable): Double = {
-      val y = table.numeric(targetCol).orElse(0.0)
       val sensitive = table.numeric(sensitiveCol)
       val feats = featureColumns(table, excluded + targetCol + sensitiveCol).filter { c =>
         math.abs(Stats.pearson(table.numeric(c), sensitive)) <= 0.45
       }
       if (feats.isEmpty) return 0.0
-      val x = Learners.designMatrix(feats.map(table.numeric))
-      val seed = 31L
-      val (train, valid) = Learners.split(y.length, ValidFrac, seed)
-      val forest = Learners.trainForest(train.map(x), train.map(y), seed)
-      Stats.clamp01(Stats.f1(valid.map(i => forest.predictRow(x(i))), valid.map(y)))
+      val (pred, actual) = forestHoldout(table, targetCol, feats, seed = 31L)
+      Stats.clamp01(Stats.f1(pred, actual))
     }
   }
 

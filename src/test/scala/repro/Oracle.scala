@@ -3,7 +3,6 @@ package repro
 import java.sql.{Connection, DriverManager}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
-import scala.jdk.CollectionConverters._
 
 import repro.lake.LakeTable
 

@@ -1,7 +1,12 @@
 package repro.lake
 
+import java.nio.charset.StandardCharsets
+import java.security.MessageDigest
+
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.FrontEndDigestSpec.lakeDigest
+import repro.tasks.Tasks.EntityLinkingTask
 import repro.util.Stats
 
 class ScenarioGenSpec extends AnyFunSuite {
@@ -153,5 +158,58 @@ class ScenarioGenSpec extends AnyFunSuite {
     // Trimodal: values near 0, 2, 4.
     assert(oni.forall(v => Seq(0.0, 2.0, 4.0).exists(m => math.abs(v - m) < 0.5)))
     assert(c.lake.size == 8)
+  }
+
+  /** SHA-256 of everything a scenario carries besides its tables: the
+    * profile target column, the planted-table signals and, for entity
+    * linking, the task's knowledge base and per-row truth.
+    */
+  private def restDigest(s: Scenario): String = {
+    val md = MessageDigest.getInstance("SHA-256")
+    def str(x: String): Unit = md.update(s"${x.length}:$x".getBytes(StandardCharsets.UTF_8))
+    str(s.profileTargetCol)
+    s.tableSignal.toSeq.sorted.foreach { case (t, i) => str(t); str(i.toString) }
+    s.task match {
+      case e: EntityLinkingTask =>
+        e.kb.toSeq.sortBy(_._1).foreach { case (m, es) => str(m); es.foreach { case (id, ctx) => str(id); str(ctx) } }
+        e.truth.foreach(str)
+      case _ =>
+    }
+    md.digest().map(b => f"${b & 0xff}%02x").mkString
+  }
+
+  /** Every generator's output, pinned as (lake digest, rest digest): the
+    * lake digest covers the input's and every lake table's metadata and
+    * cells (`FrontEndDigestSpec.lakeDigest`). Recorded when each generator
+    * still formatted its own cells; one shared table builder must give the
+    * same bits.
+    */
+  test("every generator's tables, cells, signals and task data keep their pinned digests") {
+    val semi = (0 until 3).map { i =>
+      ScenarioGen.scenario(ScenarioSpec(s"semi$i", TaskKind.Causal, rows = 250, nSignals = 3, dupsPerPlanted = 1,
+        nIrrelevant = 100, nIrrelevantDups = 40, nTopicIrrelevant = 10, nErroneous = 60, seed = 900 + i))
+    }
+    val scenarios = ScenarioGen.tableII() ++
+      Vector(ScenarioGen.entityLinking(), ScenarioGen.fairClassification(), ScenarioGen.clusteringScenario()) ++
+      semi ++ Vector(
+        ScenarioGen.scenario(spec.copy(name = "toy_reg", kind = TaskKind.Regression)),
+        ScenarioGen.scenario(spec.copy(name = "toy_cls", kind = TaskKind.Classification)),
+      )
+    assert(scenarios.map(s => s.spec.name -> (lakeDigest(s), restDigest(s))) == Vector(
+      "schools" -> ("ed231306bed86a200ea7d1d5790d4c276d59b8bcf317f12726158b58793ab14a", "2656683a1be8771050ab92b3b84810f583cfdefccc6a22cc068804cefee8c2e8"),
+      "taxi" -> ("4fd144bcde37623e2c24b817be3cb441f0a6885a1b000f04753823c6735a94a2", "4149017bf2b74a71cb32e8cce37c333163be59f165e405eed5f117fcee79a227"),
+      "crime" -> ("c991a1e2840fcca0666d171bd8dcb39095bf19d98e26553f68f4bff85b8472a4", "147b4f8c3e03bc10374a695f599ff09efb27d56948cada6e257fc6e0bb06598f"),
+      "housing" -> ("9e28bff7f14e0ce0116e5805b26f20c1c2db7bbcff1b133fc846ade99ee2cc34", "f1b48140e147e22271cf7a6998f296646e678588d9391ec135c888d67c44371f"),
+      "pharmacy" -> ("cfa442d9e03b0ec5d31b722187ba06812228f46f0881a471494af3e69a93e590", "d6b9e00a6c376e970797123c6bf34d2084972ea561501557779147c5263ad11f"),
+      "grocery" -> ("d2cb9849cc56a2c2e83694b1bfe4ce085546509905df6b816a191a1f4e87e451", "54ccc958bfbeb34c146789de20287e9b6c90cd4b67d5d577d13d6015750dd2ea"),
+      "entity_linking" -> ("440b7ec99e2a1a2a9e4aaa1f2298e20a0f5fcd2738d016fc9ae153801ccbed1b", "e47b2c0ef76f083d5e39622185d3a8aac9502b35a98065372d42f8c756e85b27"),
+      "fair_credit" -> ("a5bafb2db608d1874bdb5c382074045cdbbb39ffb3982fc64610f1d3b43ae472", "bd5b10d12f6966d9c52393cb2f72f8c0ec310eaac1f5f9830d5f7566f9df88ee"),
+      "satiety_clustering" -> ("de69f13c98666df046bbcd7690b03a90cea49afd49707d8365806173a53ff686", "188ca2f5012f0080c25a73808cc849c3ea09d5b5507bc7354f685c2df1aa09c1"),
+      "semi0" -> ("d32bf7ae02f37b569d2ebafd60de828613fd0468be8ac1fa61ab6975d04e0212", "485709c2485fa703e358d20c53632abc71dba91b07503c3400f8cce63cb17cf5"),
+      "semi1" -> ("12679837651e706a0fbba0b41576ca6540616098ba2a2d9b1719c15d66f5d892", "d6c2cf569086a9c2a178c5748400a4ec3c83a3b8897ffd39184335434a2e3049"),
+      "semi2" -> ("2e57542414d146a53c61906d4fe3e68b6b8d242477e2d3b2327dc6b694a93ebd", "9997db626924e6befe826fc6b2a2b983eb5104d9039c903d113d8c96c848655e"),
+      "toy_reg" -> ("b4d441e5ebe61edd40d486ec44b50d9709f00c7c07968b24b1c22eb0e182c033", "8ae87e3aa35d5228216f7917bf45783a37bf096bea7e13c92a7174a1af65c7ce"),
+      "toy_cls" -> ("e43d397f2b3533dc8e2f1bc50d2712133307bf540dfff9c2bd1a09f190892bc9", "fdcf82bc72a85653851879e56d3a23cac790a914d96fafdc138f54b6944985f3"),
+    ))
   }
 }

@@ -92,8 +92,8 @@ class StatsSpec extends AnyFunSuite with PropSupport {
 
   test("MI of independent halves is near 0") {
     val rnd = new scala.util.Random(3)
-    val x = some(Array.fill(2000)(rnd.nextGaussian()): _*)
-    val y = some(Array.fill(2000)(rnd.nextGaussian()): _*)
+    val x = some(Seq.fill(2000)(rnd.nextGaussian()): _*)
+    val y = some(Seq.fill(2000)(rnd.nextGaussian()): _*)
     assert(ReferenceStats.normalizedMutualInformation(x, y) < 0.04)
   }
 
@@ -127,7 +127,7 @@ class StatsSpec extends AnyFunSuite with PropSupport {
     val hist = x.indices.groupBy(i => (bx(i), by(i))).toSeq.map { case ((i, j), rows) => (i, j, rows.length.toLong) }
     val expected = Stats.miFromJointCounts(hist) / math.log(bins.toDouble)
     assert(expected > 0.0)
-    assert(ReferenceStats.normalizedMutualInformation(some(x: _*), some(y: _*), bins) == expected)
+    assert(ReferenceStats.normalizedMutualInformation(some(x.toIndexedSeq: _*), some(y.toIndexedSeq: _*), bins) == expected)
   }
 
   test("miFromJointCounts matches direct MI for a simple histogram") {
