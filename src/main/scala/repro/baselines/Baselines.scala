@@ -3,7 +3,7 @@ package repro.baselines
 import scala.collection.mutable
 import scala.util.Random
 
-import repro.core.{BudgetExhausted, Candidate, CountingUtility, SearchResult}
+import repro.core.{BudgetExhausted, Candidate, CountingUtility, Metam, SearchResult}
 import repro.profile.Profiles
 
 /** The discover-then-augment baselines of §III-A / §VI adapted to the
@@ -12,24 +12,15 @@ import repro.profile.Profiles
   */
 object Baselines {
 
-  /** Shared greedy loop over a fixed candidate ordering. */
+  /** The greedy loop over a fixed candidate ordering. */
   def greedyOrdered(
       method: String,
       ordered: Vector[Candidate],
       util: CountingUtility,
       theta: Double,
   ): SearchResult = {
-    var solution = Vector.empty[Candidate]
-    try {
-      var uD = util.baseUtility
-      val it = ordered.iterator
-      while (uD < theta && it.hasNext) {
-        val c = it.next()
-        val u1 = util.query((solution :+ c).toSet)
-        if (u1 > uD + 1e-9) { solution = solution :+ c; uD = u1 }
-      }
-    } catch { case _: BudgetExhausted => () }
-    finish(method, solution, util)
+    val it = ordered.iterator
+    greedy(method, util, theta, () => it.nextOption(), _ => ())
   }
 
   /** Overlap ranking (S4 / Ver style): non-increasing join overlap. */
@@ -64,36 +55,42 @@ object Baselines {
     val rankings: Vector[Vector[Candidate]] =
       (0 until l).map(j => cands.sortBy(c => (-profiles.of(c)(j), c.id))).toVector
     val queried = mutable.Set.empty[Int]
+    var j = 0 // the expert drawn last
+    def draw(): Option[Candidate] =
+      if (queried.size >= cands.size) None
+      else {
+        var d = rnd.nextDouble() * weights.sum
+        j = 0
+        while (j < l - 1 && d > weights(j)) { d -= weights(j); j += 1 }
+        rankings(j).find(c => queried.add(c.id)) // marks the first unqueried one
+      }
+    greedy("MW", util, theta, () => draw(), kept => weights(j) *= (if (kept) 1.0 + eta else 1.0 - eta))
+  }
+
+  /** Query the candidates `next` hands out on top of the solution, keeping
+    * each that gains more than `Metam.MinGain`, until θ, the budget, or
+    * `next` has none left; `kept` hears whether each was kept.
+    */
+  private def greedy(
+      method: String,
+      util: CountingUtility,
+      theta: Double,
+      next: () => Option[Candidate],
+      kept: Boolean => Unit,
+  ): SearchResult = {
     var solution = Vector.empty[Candidate]
     try {
       var uD = util.baseUtility
-      var exhausted = false
-      while (uD < theta && !exhausted) {
-        if (queried.size + solution.size >= cands.size) exhausted = true
-        else {
-          val total = weights.sum
-          var draw = rnd.nextDouble() * total
-          var j = 0
-          while (j < l - 1 && draw > weights(j)) { draw -= weights(j); j += 1 }
-          rankings(j).find(c => !queried.contains(c.id) && !solution.exists(_.id == c.id)) match {
-            case None => exhausted = true
-            case Some(c) =>
-              val u1 = util.query((solution :+ c).toSet)
-              queried += c.id
-              if (u1 > uD + 1e-9) {
-                solution = solution :+ c
-                uD = u1
-                weights(j) *= (1.0 + eta)
-              } else weights(j) *= (1.0 - eta)
-          }
-        }
+      var done = false
+      while (uD < theta && !done) next() match {
+        case None => done = true
+        case Some(c) =>
+          val u1 = util.query((solution :+ c).toSet)
+          val gain = u1 > uD + Metam.MinGain
+          if (gain) { solution = solution :+ c; uD = u1 }
+          kept(gain)
       }
     } catch { case _: BudgetExhausted => () }
-    finish("MW", solution, util)
-  }
-
-  private def finish(method: String, solution: Vector[Candidate], util: CountingUtility): SearchResult = {
-    val u = try util.query(solution.toSet) catch { case _: BudgetExhausted => util.bestUtility }
-    SearchResult(method, solution, u, util.queries, util.curve)
+    util.result(method, solution)
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import java.util.concurrent.ConcurrentHashMap
 import org.apache.spark.sql.SparkSession
+import scala.annotation.unused
 import scala.collection.mutable
 
 import repro.lake.{Lake, LakeTable, LocalTable, ParsedColumns}
@@ -54,7 +55,7 @@ final case class Candidate(id: Int, edges: Vector[JoinEdge], valueCol: String) {
   * @param spark unused, as Γ needs no Spark; kept in the constructor that
   *              `Runner` and the `metambench` harness call
   */
-final class AugmentEngine(spark: SparkSession, val input: LakeTable, val lake: Lake) {
+final class AugmentEngine(@unused spark: SparkSession, val input: LakeTable, val lake: Lake) {
 
   private val memo = new ConcurrentHashMap[Int, Array[Option[String]]]
   private val parsed = new ParsedColumns

@@ -1,14 +1,12 @@
 package repro.core
 
-import scala.collection.mutable
-
 import repro.profile.Profiles
 
 /** Outcome of a goal-oriented search (METAM or a baseline).
   *
   * @param method      name of the search strategy
   * @param solution    selected augmentations
-  * @param utility     utility of Γ(D_in, solution)
+  * @param utility     certified utility of Γ(D_in, solution)
   * @param queriesUsed fresh utility evaluations spent
   * @param curve       (queries, best-utility-so-far) after every query
   */
@@ -59,8 +57,10 @@ final case class MetamConfig(
 object Metam {
 
   private val TauCap = 25
-  /** A probe counts as a gain only above this margin over the current utility. */
-  private val MinGain = 1e-9
+  /** A probe counts as a gain only above this margin over the current
+    * utility; the baselines' greedy loop uses it too.
+    */
+  private[repro] val MinGain = 1e-9
   /** Largest subset size the combinatorial sweep enumerates. */
   private val MaxSweepSize = 8
   /** Group queries at each subset size t before t grows by one. */
@@ -74,8 +74,8 @@ object Metam {
   ): SearchResult = {
     if (cands.isEmpty) {
       // Nothing to augment with: the input's own utility, if budget allows.
-      val u = safeQuery(util, Set.empty).getOrElse(0.0)
-      return SearchResult("METAM", Vector.empty, u, util.queries, util.curve)
+      try util.baseUtility catch { case _: BudgetExhausted => () }
+      return util.result("METAM", Vector.empty)
     }
     val n = cands.length
     val clustering = ClusterPartition.cluster(cands.map(profiles.of), cfg.epsilon, cfg.seed)
@@ -102,10 +102,12 @@ object Metam {
 
       while (uD < cfg.theta && uTc < cfg.theta && !exhausted) {
         // ----- sequential mechanism (blue): probe up to τ clusters, then
-        // commit the best-gain augmentation.
+        // commit the best-gain augmentation: the best probe (ib, ub) so
+        // far, ties to the smaller id.
         val blocked = new Array[Boolean](clustering.nClusters)
-        val probed = mutable.ArrayBuffer.empty[(Int, Double)] // (candidate index, utility)
-        var maxU = Double.NegativeInfinity
+        var ib = -1
+        var ub = Double.NegativeInfinity
+        var probes = 0
         var continue = true
         while (continue) {
           val i = qs.bestAvailable(j => !inSolution(j) && !queried(j) && !blocked(clusterOf(j)))
@@ -118,10 +120,10 @@ object Metam {
             bandit.record(clusterOf(i), gain > MinGain)
             queried(i) = true
             blocked(clusterOf(i)) = true
-            probed += ((i, u1))
-            maxU = math.max(maxU, u1)
-            continue = probed.size < tau || maxU <= uD + MinGain
-            if (probed.size >= 2 * tau) continue = false // bounded fallback round
+            probes += 1
+            if (u1 > ub || (u1 == ub && c.id < cands(ib).id)) { ib = i; ub = u1 }
+            // Past τ only while nothing gained, and never past 2τ.
+            continue = probes < 2 * tau && (probes < tau || ub <= uD + MinGain)
           }
         }
 
@@ -136,19 +138,16 @@ object Metam {
           if (groupsAtSize >= GroupRoundsPerSize) { t += 1; groupsAtSize = 0 }
         }
 
-        // ----- commit P'_max if it improves utility.
-        if (probed.nonEmpty) {
-          val (ib, ub) = probed.maxBy { case (i, u) => (u, -cands(i).id) }
-          if (ub > uD + MinGain) {
-            tStar = tStar :+ cands(ib)
-            inSolution(ib) = true
-            uD = ub
-            // New base dataset: allow re-probing candidates on top of it.
-            java.util.Arrays.fill(queried, false)
-          } else if ((0 until n).forall(i => inSolution(i) || queried(i))) {
-            exhausted = true
-          }
-        } else exhausted = true
+        // ----- commit P'_max if it improves utility (ub is −∞ with no probe).
+        if (ub > uD + MinGain) {
+          tStar = tStar :+ cands(ib)
+          inSolution(ib) = true
+          uD = ub
+          // New base dataset: allow re-probing candidates on top of it.
+          java.util.Arrays.fill(queried, false)
+        } else if ((0 until n).forall(i => inSolution(i) || queried(i))) {
+          exhausted = true
+        }
       }
       // ----- combinatorial sweep (Theorem 3): the adaptive loop exhausted
       // below θ — enumerate subsets in increasing size (candidates ordered
@@ -170,20 +169,11 @@ object Metam {
       }
     } catch { case _: BudgetExhausted => () }
 
-    // ----- choose the better of T* and Tc*, then minimise it.
-    val uT = safeQuery(util, tStar.toSet).getOrElse(0.0)
-    val uC = if (tcStar.nonEmpty) safeQuery(util, tcStar.toSet).getOrElse(0.0) else 0.0
-    var best = if (uC > uT) tcStar else tStar
-    var bestU = math.max(uT, uC)
-    if (best.nonEmpty) {
-      val (minSet, minU) = Minimality.minimise(best, bestU, math.min(cfg.theta, bestU), util)
-      best = minSet; bestU = minU
-    }
-    SearchResult("METAM", best, bestU, util.queries, util.curve)
+    // ----- choose the better of T* and Tc* (ties to T*), then minimise it.
+    val best = if (util.certified(tcStar.toSet) > util.certified(tStar.toSet)) tcStar else tStar
+    val threshold = math.min(cfg.theta, util.certified(best.toSet))
+    util.result("METAM", Minimality.minimise(best, threshold, util))
   }
-
-  private def safeQuery(util: CountingUtility, sel: Set[Candidate]): Option[Double] =
-    try Some(util.query(sel)) catch { case _: BudgetExhausted => None }
 }
 
 /** IDENTIFY-MINIMAL (§IV-A): greedily drop augmentations whose removal
@@ -192,14 +182,8 @@ object Metam {
   */
 object Minimality {
 
-  def minimise(
-      solution: Vector[Candidate],
-      solutionUtility: Double,
-      threshold: Double,
-      util: CountingUtility,
-  ): (Vector[Candidate], Double) = {
+  def minimise(solution: Vector[Candidate], threshold: Double, util: CountingUtility): Vector[Candidate] = {
     var current = solution
-    var currentU = solutionUtility
     var changed = true
     try {
       while (changed) {
@@ -209,15 +193,13 @@ object Minimality {
         while (it.hasNext && !changed) {
           val c = it.next()
           val without = current.filterNot(_.id == c.id)
-          val u = util.query(without.toSet)
-          if (u >= threshold - 1e-12) {
+          if (util.query(without.toSet) >= threshold - 1e-12) {
             current = without
-            currentU = u
             changed = true
           }
         }
       }
     } catch { case _: BudgetExhausted => () }
-    (current, currentU)
+    current
   }
 }

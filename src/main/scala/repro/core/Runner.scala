@@ -11,7 +11,7 @@ import repro.profile.{Profiler, Profiles}
   * cells probed against an index of the input's key values) → profiling
   * (one driver-side estimator for every candidate over sample rows read and
   * parsed from the Γ columns, which it materialises with driver-side joins,
-  * so the Γ prefetch after it finds every column in the memo) → run METAM
+  * so every candidate's column is in the memo before the search) → run METAM
   * and the baselines under a shared query budget. None of these runs a
   * Spark job; the `spark` parameters are unused and kept for the callers.
   * Scenario generation, discovery and profiling spread their per-table and
@@ -44,7 +44,6 @@ object Runner {
     val engine = new AugmentEngine(spark, scenario.input, scenario.lake)
     val candidates = JoinDiscovery.candidatesFor(spark, scenario.input, scenario.lake, minContainment, maxHops)
     val profiles = Profiler.profileAll(spark, engine, candidates, scenario.profileTargetCol)
-    engine.prefetch(candidates)
     (engine, candidates, profiles)
   }
 

@@ -6,7 +6,7 @@ import repro.tasks.Task
 import repro.util.Stats
 
 /** Thrown by [[CountingUtility.query]] when the query budget is spent;
-  * search algorithms catch it and return their best-so-far solution.
+  * search algorithms catch it and end through [[CountingUtility.result]].
   */
 final class BudgetExhausted(val budget: Int) extends RuntimeException(s"query budget $budget exhausted")
 
@@ -21,7 +21,8 @@ final class BudgetExhausted(val budget: Int) extends RuntimeException(s"query bu
   * closure: u(S) is reported as max over all *observed* S' ⊆ S of the raw
   * utility — exactly "wrap the task with a mechanism that ignores an
   * augmentation if it worsens utility", with the already-paid queries as
-  * the certificates.
+  * the certificates. [[certified]] reads that value for any selection
+  * without a query, and [[result]] is how every search method ends.
   *
   * A task that returns NaN is recorded as utility 0.0, so one undefined
   * score cannot turn the best-so-far and every later curve point into NaN.
@@ -39,8 +40,6 @@ final class CountingUtility(
 
   /** (queries-used, best-utility-so-far) after each fresh evaluation. */
   def curve: Vector[(Int, Double)] = curveBuf.toVector
-
-  def bestUtility: Double = bestSoFar
 
   /** Utility of the un-augmented input (costs one query on first use). */
   def baseUtility: Double = query(Set.empty[Candidate])
@@ -60,6 +59,18 @@ final class CountingUtility(
     }
     u
   }
+
+  /** u(S) certified by the observed subsets of `sel`, 0.0 if there are
+    * none. Costs no query and adds no curve point; for an observed
+    * selection it equals [[query]], as raw utilities are at least 0.
+    */
+  def certified(sel: Set[Candidate]): Double = monotoneClosure(sel.map(_.id), 0.0)
+
+  /** `method`'s outcome: `solution` at its certified utility, with the
+    * queries and curve spent so far.
+    */
+  def result(method: String, solution: Vector[Candidate]): SearchResult =
+    SearchResult(method, solution, certified(solution.toSet), queries, curve)
 
   private def monotoneClosure(key: Set[Int], rawU: Double): Double = {
     var best = rawU

@@ -1,6 +1,7 @@
 package repro.discovery
 
 import org.apache.spark.sql.SparkSession
+import scala.annotation.unused
 import scala.collection.mutable
 import scala.collection.parallel.CollectionConverters._
 
@@ -106,7 +107,7 @@ object JoinDiscovery {
     *              that `Runner` and the `metambench` harness call
     */
   def candidatesFor(
-      spark: SparkSession,
+      @unused spark: SparkSession,
       input: LakeTable,
       lake: Lake,
       minContainment: Double,

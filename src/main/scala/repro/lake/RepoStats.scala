@@ -2,6 +2,7 @@ package repro.lake
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.annotation.unused
 
 import repro.SynthData
 import repro.discovery.JoinDiscovery
@@ -44,8 +45,12 @@ object RepoStats {
     * and joinable pairs come from the same containment index
     * ([[JoinDiscovery.joinablePairs]]) the search pipeline uses, over the
     * key columns with at least one non-null value.
+    *
+    * @param spark unused, as `cells` carries its session; kept in the
+    *              signature that `TableIJob` and the `metambench` harness
+    *              call
     */
-  def characteristics(spark: SparkSession, name: String, cells: DataFrame,
+  def characteristics(@unused spark: SparkSession, name: String, cells: DataFrame,
                       minContainment: Double = 0.5): Characteristics = {
     val groups = cells
       .groupBy(col("table"), col("col"), when(col("col").isin("col_0", "col_1", "col_2"), col("value")))

@@ -1,6 +1,7 @@
 package repro.profile
 
 import org.apache.spark.sql.SparkSession
+import scala.annotation.unused
 import scala.collection.parallel.CollectionConverters._
 import scala.util.hashing.MurmurHash3
 
@@ -47,8 +48,8 @@ object Profiler {
     *
     * Corr, MI and overlap come from one estimator on the driver, whatever
     * the candidate's join path: [[sampleProfiles]] over its [[sampleRows]],
-    * read from the engine's Γ columns (which this materialises ahead of
-    * `prefetch`). The estimator depends only on the set of sample rows, so
+    * read from the engine's Γ columns, which this materialises for the
+    * search. The estimator depends only on the set of sample rows, so
     * a candidate's profiles depend only on its Γ column.
     *
     * Candidates are profiled in parallel, one per task on the parallel
@@ -61,7 +62,7 @@ object Profiler {
     *              signature that `Runner` and the `metambench` harness call
     */
   def profileAll(
-      spark: SparkSession,
+      @unused spark: SparkSession,
       engine: AugmentEngine,
       cands: Seq[Candidate],
       targetCol: String,

@@ -22,7 +22,7 @@ class BaselinesSpec extends SparkSpec {
   test("greedyOrdered stops at theta") {
     val e = env(20)
     val res = Baselines.greedyOrdered("X", e.cands, e.util(100), theta = 0.7)
-    // Candidate 0 is first in the order → 1 base query + 1 probe + final memoised.
+    // Candidate 0 is first in the order → 1 base query + 1 probe.
     assert(res.queriesUsed <= 3)
   }
 
@@ -49,6 +49,15 @@ class BaselinesSpec extends SparkSpec {
     val res = Baselines.multiplicativeWeights(e.cands, e.profiles, e.util(200), theta = 0.7, seed = 11)
     assert(res.utility >= 0.7)
     assert(res.solution.map(_.id) == Vector(0))
+  }
+
+  test("multiplicative weights stops only when every candidate was queried") {
+    // Each table adds 0.2 over a 0.1 base: θ needs all four.
+    val e = TestEnv.build(spark, 4, s => 0.1 + 0.2 * s.size)
+    val res = Baselines.multiplicativeWeights(e.cands, e.profiles, e.util(100), theta = 0.85)
+    assert(res.solution.map(_.id).sorted == Vector(0, 1, 2, 3),
+      s"MW kept ${res.solution.map(_.id)} in ${res.queriesUsed} queries")
+    assert(math.abs(res.utility - 0.9) < 1e-12)
   }
 
   test("multiplicative weights respects the budget") {

@@ -65,7 +65,7 @@ class MetamSpec extends SparkSpec {
     val env = TestEnv.build(
       spark, 6,
       s => if (s.contains(2) && s.contains(3)) 0.9 else 0.1,
-      i => Array(0.5, 0.5, 0.5, 0.5, 0.5),
+      _ => Array(0.5, 0.5, 0.5, 0.5, 0.5),
     )
     val res = Metam.run(env.cands, env.profiles, env.util(2000),
       MetamConfig(theta = 0.85, seed = 10))

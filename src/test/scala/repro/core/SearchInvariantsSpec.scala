@@ -26,22 +26,24 @@ class SearchInvariantsSpec extends SparkSpec with PropSupport {
     seed <- Gen.choose(0L, 1000L)
   } yield World(n, utilities.toVector, profiles.toVector, theta, seed)
 
-  private def search(method: String, env: TestEnv.Env, w: World, budget: Int): SearchResult = {
+  /** The method's result and the utility it searched with. */
+  private def search(method: String, env: TestEnv.Env, w: World, budget: Int): (SearchResult, CountingUtility) = {
     val util = env.util(budget)
-    method match {
+    val r = method match {
       case "METAM" => Metam.run(env.cands, env.profiles, util, MetamConfig(theta = w.theta, seed = w.seed))
       case "MW" => Baselines.multiplicativeWeights(env.cands, env.profiles, util, w.theta, seed = w.seed)
       case "Overlap" => Baselines.overlapRanking(env.cands, env.profiles, util, w.theta)
       case "Uniform" => Baselines.uniformSampling(env.cands, util, w.theta, w.seed)
     }
+    (r, util)
   }
 
   test("every method stays within budget, reports a monotone curve and repeats exactly") {
     checkProp(Prop.forAll(worlds) { w =>
       val env = TestEnv.build(spark, w.n, s => w.utilities(s.foldLeft(0)((m, i) => m | (1 << i))), w.profiles)
       val checks = for (m <- Runner.DefaultMethods; b <- Budgets) yield {
-        val r = search(m, env, w, b)
-        val again = search(m, env, w, b)
+        val (r, util) = search(m, env, w, b)
+        val (again, _) = search(m, env, w, b)
         val qs = r.curve.map(_._1)
         val us = r.curve.map(_._2)
         val curveMax = if (us.isEmpty) 0.0 else us.max
@@ -50,6 +52,8 @@ class SearchInvariantsSpec extends SparkSpec with PropSupport {
           qs.zip(qs.drop(1)).forall { case (a, c) => c > a } :| "curve strictly increasing in queries",
           us.zip(us.drop(1)).forall { case (a, c) => c >= a } :| "curve non-decreasing in utility",
           (r.utility <= curveMax) :| "returned utility at most the curve maximum",
+          (r.utility == util.certified(r.solution.toSet)) :| "returned utility is the solution's certified utility",
+          (r.queriesUsed == util.queries) :| "no query after the result",
           (again.solution.map(_.id) == r.solution.map(_.id)) :| "same solution on a second run",
           (again.utility == r.utility) :| "same utility on a second run",
           (again.curve == r.curve) :| "same curve on a second run",

@@ -89,14 +89,13 @@ class UtilitySpec extends SparkSpec {
     u.query(Set(cGood))
     assert(u.curve.map(_._1) == Vector(1, 2, 3))
     assert(u.curve.map(_._2) == Vector(0.3, 0.3, 0.7))
-    assert(u.bestUtility == 0.7)
   }
 
   test("utilityAt returns the best utility within a query budget") {
     val u = mkUtil()
     u.baseUtility
     u.query(Set(cGood))
-    val res = SearchResult("toy", Vector(cGood), u.bestUtility, u.queries, u.curve)
+    val res = u.result("toy", Vector(cGood))
     assert(res.utilityAt(1) == 0.3)
     assert(res.utilityAt(5) == 0.7)
     assert(res.utilityAt(0) == 0.0)
@@ -121,7 +120,21 @@ class UtilitySpec extends SparkSpec {
     val us = u.curve.map(_._2)
     assert(us.size == 5 && us.forall(v => !v.isNaN && v >= 0.0 && v <= 1.0), s"$us")
     assert(us.zip(us.drop(1)).forall { case (a, b) => b >= a }, s"$us")
-    assert(u.bestUtility == 0.7)
+    assert(u.curve.last._2 == 0.7)
+  }
+
+  test("certified reads the monotone closure without a query") {
+    val u = mkUtil()
+    assert(u.certified(Set(cGood)) == 0.0) // nothing observed yet
+    val sels = Seq(Set.empty[Candidate], Set(cBad), Set(cGood), Set(cGood, cBad), Set(cMeh, cBad))
+    val queried = sels.map(u.query)
+    val (q, curve) = (u.queries, u.curve)
+    sels.zip(queried).foreach { case (s, v) =>
+      assert(java.lang.Double.doubleToRawLongBits(u.certified(s)) == java.lang.Double.doubleToRawLongBits(v), s"$s")
+    }
+    // An unobserved superset is worth its best observed subset, {good}.
+    assert(u.certified(Set(cGood, cBad, cMeh)) == 0.7)
+    assert(u.queries == q && u.curve == curve)
   }
 
   test("utilities are clamped to [0,1]") {
